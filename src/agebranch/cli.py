@@ -122,6 +122,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# the schema itself is checked by the tests, not on every load
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 _MODEL_SPEC_KEYS = ("x_min", "x_max", "a_max", "n_x", "n_a", "newton_tol",
                     "inner_tol", "eigen_tol", "fd_eps", "simplicity_tol",
                     "gap_tol", "rank_tol", "radius_identity_tol")
@@ -146,11 +149,10 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(part) for part in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        where = "/".join(str(part) for part in error.absolute_path) or "<root>"
+        raise ConfigError(f"{path}: at {where}: {error.message}") from error
     return cfg
 
 
@@ -285,22 +287,13 @@ _TERMINATION_EXIT = {
 }
 
 
-def _continuation_params(cfg: dict, spec: ModelSpec, g) -> ContinuationParams:
-    cont = cfg.get("continuation", {})
-    overrides = {}
-    if "jac_mode" in cont:
-        overrides["jac_mode"] = cont["jac_mode"]
-    if "lambda_max_factor" in cont:
-        lam0 = bifurcation_point(spec, g).lambda0
-        overrides["lambda_max"] = cont["lambda_max_factor"] * lam0
-    return ContinuationParams.from_spec(spec, **overrides)
-
-
 def _cmd_continue(args) -> int:
     cfg = load_config(args.config)
     spec = spec_from_config(cfg, args.resolution_scale)
     g = build_grid(spec)
-    params = _continuation_params(cfg, spec, g)
+    cont = cfg.get("continuation", {})
+    params = ContinuationParams.from_spec(
+        spec, **{key: cont[key] for key in ("jac_mode", "lambda_max_factor") if key in cont})
     branch = continue_branch(spec, g, params)
     out = Path(args.out)
     write_branch_outputs(branch, out, cfg, args.seed)

@@ -61,7 +61,8 @@ class ModelSpec:
     The diffusivity ``d`` takes the local total population ``z`` and must stay
     at or above ``d_lower > 0``; death rate ``mu(z, age)`` and birth rate
     ``b(z, age)`` must be nonnegative.  All three bounds are enforced on every
-    evaluation through the ``eval_*`` methods, and a violation is a hard error.
+    evaluation through the ``eval_*`` and ``rate_table`` methods, and a
+    violation is a hard error.
 
     Derivatives ``d_prime``, ``mu_z``, ``b_z`` (partials in ``z``) are needed
     for the analytic Jacobian mode.  When omitted they are replaced by central
@@ -143,25 +144,28 @@ class ModelSpec:
         return values
 
     def eval_mu(self, z, age: float) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        values = _broadcast(self.mu(z, age), z)
-        if not np.all(np.isfinite(values)):
-            raise CoefficientBoundError("mu(z, a) evaluated to a non-finite value")
-        if np.any(values < 0.0):
-            raise CoefficientBoundError(
-                f"mu(z, a) = {values.min():.6g} is negative at age {age:.6g}"
-            )
-        return values
+        return self.rate_table("mu", z, (age,))[0]
 
     def eval_b(self, z, age: float) -> np.ndarray:
+        return self.rate_table("b", z, (age,))[0]
+
+    def rate_table(self, name: str, z, ages) -> np.ndarray:
+        """``mu`` or ``b`` (by ``name``) at every age in ``ages``, stacked on a
+        new leading axis.  The whole table is checked at once; an entry that
+        is negative or not finite is a hard error naming the first such age."""
+        fun = {"mu": self.mu, "b": self.b}[name]
         z = np.asarray(z, dtype=float)
-        values = _broadcast(self.b(z, age), z)
-        if not np.all(np.isfinite(values)):
-            raise CoefficientBoundError("b(z, a) evaluated to a non-finite value")
-        if np.any(values < 0.0):
+        values = np.empty((len(ages),) + z.shape)
+        for k, age in enumerate(ages):
+            values[k] = fun(z, age)
+        bad = ~(np.isfinite(values) & (values >= 0.0))
+        if bad.any():
+            k = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
+            if not np.all(np.isfinite(values[k])):
+                raise CoefficientBoundError(
+                    f"{name}(z, a) evaluated to a non-finite value at age {ages[k]:.6g}")
             raise CoefficientBoundError(
-                f"b(z, a) = {values.min():.6g} is negative at age {age:.6g}"
-            )
+                f"{name}(z, a) = {values[k].min():.6g} is negative at age {ages[k]:.6g}")
         return values
 
     def eval_d_prime(self, z) -> np.ndarray:
@@ -229,22 +233,21 @@ def build_grid(spec: ModelSpec) -> Grid:
     )
 
 
-def check_spatial(v: SpatialField, g: Grid, name: str = "field") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (g.n_x,):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({g.n_x},)")
-    if not np.all(np.isfinite(v)):
+def check_shape(a, shape: tuple, name: str = "field") -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
-    return v
+    return a
+
+
+def check_spatial(v: SpatialField, g: Grid, name: str = "field") -> np.ndarray:
+    return check_shape(v, (g.n_x,), name)
 
 
 def check_age_space(u: AgeSpaceField, g: Grid, name: str = "field") -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.n_a + 1, g.n_x):
-        raise ValueError(f"{name} has shape {u.shape}, expected ({g.n_a + 1}, {g.n_x})")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return u
+    return check_shape(u, (g.n_a + 1, g.n_x), name)
 
 
 def total_population(u: AgeSpaceField, g: Grid) -> SpatialField:

@@ -5,6 +5,11 @@ spatial grid with zero-flux (Neumann) closure by ghost-node reflection.  Face
 diffusivities are arithmetic means of the nodal values.  The age direction is
 integrated by implicit Euler, which keeps the M-matrix sign pattern and hence
 preserves nonnegativity unconditionally.
+
+Every age march runs through one kernel: the shifted systems of all ages are
+tabulated once per frozen population (one coefficient bound check), and each
+age step is one LAPACK ``dgtsv`` solve, for a single trace, a block of
+columns or a stack of independent systems alike.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .model import (
     AgeSpaceField,
@@ -20,11 +26,16 @@ from .model import (
     ModelSpec,
     SpatialField,
     check_age_space,
+    check_shape,
     check_spatial,
     total_population,
 )
 
 DenseOperator = np.ndarray
+
+# memory cap on the age stack of one return-map march: all columns at once on
+# the shipped grids, a few at a time on fine grids such as 128 x 1600
+_STACK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -49,8 +60,16 @@ class EllipticOperator:
         return np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
 
     def solve_shifted(self, step: float, rhs):
-        """Solve ``(I + step * A) w = rhs``; rhs may carry extra RHS columns."""
-        return _shifted_solve_bands(self.lower, self.diag, self.upper, step, rhs)
+        """Solve ``(I + step * A) w = rhs``; rhs may carry extra RHS columns.
+        Kept apart from the age-march kernel as its test oracle."""
+        ab = np.zeros((3, self.diag.size))
+        ab[0, 1:] = step * self.upper
+        ab[1, :] = 1.0 + step * self.diag
+        ab[2, :-1] = step * self.lower
+        w = solve_banded((1, 1), ab, rhs, check_finite=False)
+        if not np.all(np.isfinite(w)):
+            raise ArithmeticError("shifted solve produced non-finite values")
+        return w
 
 
 def _diffusion_bands(U_rows: np.ndarray, spec: ModelSpec, g: Grid):
@@ -83,26 +102,50 @@ def assemble_elliptic(U: SpatialField, age: float, spec: ModelSpec, g: Grid) -> 
     return EllipticOperator(lower=lower, diag=diag + spec.eval_mu(U, age), upper=upper)
 
 
-def divergence_form(c_nodes: np.ndarray, w: SpatialField, g: Grid) -> np.ndarray:
+def divergence_form(c_nodes: np.ndarray, w: np.ndarray, g: Grid) -> np.ndarray:
     """Apply ``-(c w_x)_x`` with the same stencil and Neumann closure as
-    :func:`assemble_elliptic`, for a nodal coefficient of arbitrary sign."""
-    c_face = 0.5 * (c_nodes[:-1] + c_nodes[1:])
+    :func:`assemble_elliptic`, for a nodal coefficient of arbitrary sign.
+    Nodes run along the last axis; the leading axes broadcast."""
+    c_face = 0.5 * (c_nodes[..., :-1] + c_nodes[..., 1:])
+    flux = c_face * (w[..., 1:] - w[..., :-1])
     inv_dx2 = 1.0 / g.dx**2
-    out = np.empty_like(w)
-    out[1:-1] = -(c_face[1:] * (w[2:] - w[1:-1]) - c_face[:-1] * (w[1:-1] - w[:-2])) * inv_dx2
-    out[0] = -2.0 * c_face[0] * (w[1] - w[0]) * inv_dx2
-    out[-1] = -2.0 * c_face[-1] * (w[-2] - w[-1]) * inv_dx2
+    out = np.empty(flux.shape[:-1] + (g.n_x,))
+    # written in place: the analytic Jacobian applies this to (n_a+1, n_x, n_x)
+    np.subtract(flux[..., :-1], flux[..., 1:], out=out[..., 1:-1])
+    out[..., 1:-1] *= inv_dx2
+    out[..., 0] = -2.0 * flux[..., 0] * inv_dx2
+    out[..., -1] = 2.0 * flux[..., -1] * inv_dx2
     return out
 
 
-def _shifted_solve_bands(lower, diag, upper, step: float, rhs):
-    """Solve ``(I + step * tridiag) w = rhs`` given the raw bands."""
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = step * upper
-    ab[1, :] = 1.0 + step * diag
-    ab[2, :-1] = step * lower
-    w = solve_banded((1, 1), ab, rhs, check_finite=False)
+def _age_systems(U_rows: np.ndarray, spec: ModelSpec, g: Grid):
+    """Implicit age-step systems ``I + da * A(U_i, a_k)`` for the rows of
+    ``U_rows`` (m, n_x) at every age node, as one system of m blocks with zero
+    couplings between them.  Returns the sub- and superdiagonal in block form,
+    (m, n_x) with a zero last column, and the diagonal table (n_a + 1, m, n_x),
+    with ``mu`` tabulated over all ages and bound-checked once."""
+    lower, dif_diag, upper = _diffusion_bands(U_rows, spec, g)
+    sub = np.zeros_like(dif_diag)
+    sup = np.zeros_like(dif_diag)
+    sub[:, :-1] = g.da * lower
+    sup[:, :-1] = g.da * upper
+    # 1 + da * (d + mu), in place: the table is the largest array of a march
+    diag = spec.rate_table("mu", U_rows, g.a_nodes)
+    diag += dif_diag
+    diag *= g.da
+    diag += 1.0
+    return sub, diag, sup
+
+
+def _solve_age_step(sub, diag, sup, rhs) -> np.ndarray:
+    """One LAPACK ``dgtsv`` solve of a (block-)tridiagonal age step."""
+    _, _, _, w, info = dgtsv(sub, diag, sup, rhs)
+    if info != 0:
+        raise ArithmeticError(f"implicit age step is singular (dgtsv info {info})")
+    return w
+
+
+def _check_finite(w: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ArithmeticError(
             "implicit age step produced non-finite values; the shifted "
@@ -111,8 +154,7 @@ def _shifted_solve_bands(lower, diag, upper, step: float, rhs):
     return w
 
 
-def evolve(U: SpatialField, w0: SpatialField, spec: ModelSpec, g: Grid,
-           source: AgeSpaceField | None = None) -> AgeSpaceField:
+def evolve(U, w0, spec: ModelSpec, g: Grid, source: np.ndarray | None = None) -> np.ndarray:
     """March the linear age problem from trace ``w0`` by implicit Euler.
 
     Solves ``d_age w + A(U, age) w = source`` with ``w(0) = w0``, where the
@@ -120,89 +162,58 @@ def evolve(U: SpatialField, w0: SpatialField, spec: ModelSpec, g: Grid,
     through the death rate).  With ``source=None`` this is the positive
     evolution from age zero applied to ``w0``; supplying both a source and a
     trace gives the general inhomogeneous solve.
+
+    The input shapes choose the case.  The result has the age axis first and
+    ``source``, when given, has the shape of the result:
+
+    * ``U`` (n_x,), ``w0`` (n_x,): one trace; result (n_a + 1, n_x);
+    * ``U`` (n_x,), ``w0`` (n_x, m): m columns under the shared ``U``, one
+      multi-RHS solve per age step; result (n_a + 1, n_x, m);
+    * ``U`` (m, n_x), ``w0`` (m, n_x): row ``i`` marched under its own
+      ``U[i]``, all rows in one block-diagonal solve per age step; result
+      (n_a + 1, m, n_x).
+    """
+    U = np.asarray(U, dtype=float)
+    w0 = np.asarray(w0, dtype=float)
+    if U.ndim == 2:
+        U = check_shape(U, (U.shape[0], g.n_x), "total populations")
+        w0 = check_shape(w0, U.shape, "initial traces")
+    else:
+        U = check_spatial(U, g, "total population")
+        w0 = check_shape(w0, (g.n_x,) + w0.shape[1:2], "initial trace")
+    out_shape = (g.n_a + 1,) + w0.shape
+    w = w0.ravel() if U.ndim == 2 else w0
+    out = np.empty((g.n_a + 1,) + w.shape)
+    if source is not None:
+        source = check_shape(source, out_shape, "source").reshape(out.shape)
+
+    sub, diag, sup = _age_systems(U.reshape(-1, g.n_x), spec, g)
+    sub, sup = sub.ravel()[:-1], sup.ravel()[:-1]
+    diag = diag.reshape(g.n_a + 1, -1)
+    out[0] = w
+    for k in range(1, g.n_a + 1):
+        rhs = w if source is None else w + g.da * source[k]
+        w = _solve_age_step(sub, diag[k], sup, rhs)
+        out[k] = w
+    return _check_finite(out).reshape(out_shape)
+
+
+def advance_cohorts(U: SpatialField, u: AgeSpaceField, spec: ModelSpec,
+                    g: Grid) -> np.ndarray:
+    """One implicit age step for every cohort of ``u`` under one frozen ``U``.
+
+    Row ``k - 1`` of ``u`` moves to age node ``k``, solving
+    ``(I + da * A(U, a_k)) w = u[k - 1]`` for k = 1..n_a.  The n_a systems
+    differ only in their death rate and go through one block-diagonal solve;
+    returns the (n_a, n_x) rows at ages 1..n_a.
     """
     U = check_spatial(U, g, "total population")
-    w0 = check_spatial(w0, g, "initial trace")
-    if source is not None:
-        source = check_age_space(source, g, "source")
-
-    lower, dif_diag, upper = _diffusion_bands(U, spec, g)
-    u = np.empty((g.n_a + 1, g.n_x))
-    u[0] = w0
-    w = w0
-    for k in range(1, g.n_a + 1):
-        diag = dif_diag + spec.eval_mu(U, g.a_nodes[k])
-        rhs = w if source is None else w + g.da * source[k]
-        w = _shifted_solve_bands(lower, diag, upper, g.da, rhs)
-        u[k] = w
-    return u
-
-
-def _evolve_columns(U: SpatialField, w0_cols: np.ndarray, spec: ModelSpec, g: Grid,
-                    source_cols: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized :func:`evolve` over a block of column vectors.
-
-    ``w0_cols`` has shape (n_x, m); the optional source has shape
-    (n_a + 1, n_x, m).  Returns the (n_a + 1, n_x, m) stack of marches.
-    All columns share the same frozen ``U``, so each age step is a single
-    multi-RHS banded solve.
-    """
-    out = np.empty((g.n_a + 1,) + w0_cols.shape)
-    out[0] = w0_cols
-    w = w0_cols
-    for k in range(1, g.n_a + 1):
-        op = assemble_elliptic(U, g.a_nodes[k], spec, g)
-        rhs = w if source_cols is None else w + g.da * source_cols[k]
-        w = op.solve_shifted(g.da, rhs)
-        out[k] = w
-    return out
-
-
-def _block_shifted_solve(lower, diag, upper, step: float, rhs):
-    """Solve ``(I + step * tridiag_i) w_i = rhs_i`` for a stack of systems.
-
-    Bands and right-hand sides have shape (m, n).  The m uncoupled
-    tridiagonal systems are concatenated into one banded system (the blocks
-    do not interact, so the boundary couplings are zero) and handed to a
-    single banded solve.
-    """
-    m, n = diag.shape
-    ab = np.zeros((3, m * n))
-    sup = np.zeros((m, n))
-    sup[:, 1:] = step * upper
-    sub = np.zeros((m, n))
-    sub[:, :-1] = step * lower
-    ab[0] = sup.ravel()
-    ab[1] = 1.0 + step * diag.ravel()
-    ab[2] = sub.ravel()
-    w = solve_banded((1, 1), ab, rhs.reshape(m * n), check_finite=False).reshape(m, n)
-    if not np.all(np.isfinite(w)):
-        raise ArithmeticError(
-            "implicit age step produced non-finite values; the shifted "
-            "operator should be an invertible M-matrix for mu >= 0"
-        )
-    return w
-
-
-def _evolve_block(U_rows: np.ndarray, traces: np.ndarray, spec: ModelSpec,
-                  g: Grid) -> np.ndarray:
-    """March m independent traces, each under its own frozen population.
-
-    ``U_rows`` and ``traces`` have shape (m, n_x); returns (m, n_a+1, n_x).
-    Row ``i`` equals ``evolve(U_rows[i], traces[i], spec, g)`` up to the
-    solver's round-off; the block form exists so difference-quotient
-    Jacobians can march all perturbed traces in lockstep.
-    """
-    m = traces.shape[0]
-    lower, dif_diag, upper = _diffusion_bands(U_rows, spec, g)
-    out = np.empty((m, g.n_a + 1, g.n_x))
-    out[:, 0, :] = traces
-    w = traces
-    for k in range(1, g.n_a + 1):
-        diag = dif_diag + spec.eval_mu(U_rows, g.a_nodes[k])
-        w = _block_shifted_solve(lower, diag, upper, g.da, w)
-        out[:, k, :] = w
-    return out
+    u = check_age_space(u, g, "age-space field")
+    sub, diag, sup = _age_systems(U[None, :], spec, g)
+    reps = (g.n_a, 1)
+    w = _solve_age_step(np.tile(sub, reps).ravel()[:-1], diag[1:].ravel(),
+                        np.tile(sup, reps).ravel()[:-1], u[:-1].ravel())
+    return _check_finite(w).reshape(g.n_a, g.n_x)
 
 
 def birth_functional(V: SpatialField, u: AgeSpaceField, lam: float,
@@ -214,8 +225,7 @@ def birth_functional(V: SpatialField, u: AgeSpaceField, lam: float,
     """
     V = check_spatial(V, g, "density argument")
     u = check_age_space(u, g, "age-space field")
-    b_rows = np.stack([spec.eval_b(V, age) for age in g.a_nodes])
-    return lam * np.einsum("k,kn,kn->n", g.w_a, b_rows, u)
+    return lam * np.einsum("k,kn,kn->n", g.w_a, spec.rate_table("b", V, g.a_nodes), u)
 
 
 def next_generation_operator(u: AgeSpaceField, spec: ModelSpec, g: Grid) -> DenseOperator:
@@ -223,15 +233,16 @@ def next_generation_operator(u: AgeSpaceField, spec: ModelSpec, g: Grid) -> Dens
 
     Column ``j`` equals ``birth_functional(U, evolve(U, e_j), 1)`` with
     ``U = total_population(u)``: newborns placed at node ``j`` are evolved
-    through all ages and weighted by the birth rate.  The assembly runs all
-    columns through one multi-RHS march.
+    through all ages and weighted by the birth rate.  The assembly runs the
+    columns through multi-RHS marches, as many columns at a time as keep one
+    march's age stack within ``_STACK_BYTES``.
     """
     u = check_age_space(u, g, "frozen field")
     U = total_population(u, g)
-    cols = np.eye(g.n_x)
-    Q = g.w_a[0] * spec.eval_b(U, 0.0)[:, None] * cols
-    for k in range(1, g.n_a + 1):
-        op = assemble_elliptic(U, g.a_nodes[k], spec, g)
-        cols = op.solve_shifted(g.da, cols)
-        Q = Q + g.w_a[k] * spec.eval_b(U, g.a_nodes[k])[:, None] * cols
-    return Q
+    b_rows = spec.rate_table("b", U, g.a_nodes)
+    eye = np.eye(g.n_x)
+    width = max(1, _STACK_BYTES // ((g.n_a + 1) * g.n_x * eye.itemsize))
+    return np.hstack([
+        np.einsum("k,kn,knj->nj", g.w_a, b_rows, evolve(U, eye[:, j:j + width], spec, g))
+        for j in range(0, g.n_x, width)
+    ])

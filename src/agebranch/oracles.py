@@ -11,7 +11,6 @@ and serve as cross-checks for it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import Grid
 
@@ -60,6 +59,8 @@ def equilibrium_population(lam: float, mu0: float, kappa: float, b0: float,
     critical intensity.  Requires kappa > 0 so the branch relation is
     monotone.
     """
+    from scipy.optimize import brentq  # deferred: slow to import, rarely needed
+
     if kappa <= 0.0:
         raise ValueError("equilibrium_population needs kappa > 0")
 
@@ -85,6 +86,7 @@ def march_population(amplitude: float, mu0: float, kappa: float, b0: float,
     oracle signature.
     """
     del b0
+    from scipy.optimize import brentq  # deferred: slow to import, rarely needed
 
     def f(U):
         return U - amplitude * survival_sum(mu0 + kappa * U, g)

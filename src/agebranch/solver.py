@@ -33,8 +33,6 @@ from .model import (
 )
 from .operators import (
     DenseOperator,
-    _evolve_block,
-    _evolve_columns,
     assemble_elliptic,
     birth_functional,
     divergence_form,
@@ -108,6 +106,8 @@ class ContinuationParams:
     max_points: int
     pos_tol: float
     jac_mode: str = "fd"
+    # when set, replaces lambda_max by this multiple of the critical intensity
+    lambda_max_factor: float | None = None
     arc_weight_lambda: float = 1.0
     arc_weight_v: float = 1.0
 
@@ -129,19 +129,20 @@ class ContinuationParams:
 
 # -- quasilinear reconstruction ---------------------------------------------
 
-def _march_info(v: SpatialField, spec: ModelSpec, g: Grid,
-                u_guess: AgeSpaceField | None = None) -> tuple[AgeSpaceField, int]:
-    v = check_spatial(v, g, "trace")
-    if u_guess is None:
-        u_guess = np.zeros((g.n_a + 1, g.n_x))
-    current = evolve(total_population(u_guess, g), v, spec, g)
-
+def _fixed_point(traces: np.ndarray, U_start: np.ndarray, spec: ModelSpec,
+                 g: Grid) -> tuple[np.ndarray, int]:
+    """Damped quasilinear fixed point for m traces (shape (m, n_x)) marched in
+    lockstep, each sweep one stacked march; returns the (n_a + 1, m, n_x)
+    fields and the number of sweeps.  Converged when the largest update of
+    any row is at or below ``inner_tol``."""
+    current = evolve(U_start, traces, spec, g)
     omega = 1.0
-    previous = current
+    previous = current[:, 0]
     diffs: list[float] = []
     for it in range(1, spec.max_inner + 1):
-        proposed = evolve(total_population(current, g), v, spec, g)
-        diff = field_norm(proposed - current, g)
+        U_rows = (g.w_a @ current.reshape(g.n_a + 1, -1)).reshape(traces.shape)
+        proposed = evolve(U_rows, traces, spec, g)
+        diff = float(np.max(np.sqrt(g.dx) * np.linalg.norm(proposed - current, axis=2)))
         if diff <= spec.inner_tol:
             # the returned field is always an actual march output
             return proposed, it
@@ -149,16 +150,24 @@ def _march_info(v: SpatialField, spec: ModelSpec, g: Grid,
             omega = max(0.03125, 0.5 * omega)
         elif diffs and diff < 0.25 * diffs[-1]:
             omega = min(1.0, 2.0 * omega)
-        previous = current
+        previous = current[:, 0].copy()  # a copy keeps no whole block alive
         current = proposed if omega == 1.0 else (1.0 - omega) * current + omega * proposed
         diffs.append(diff)
     raise InnerIterationError(
         f"quasilinear fixed point did not reach {spec.inner_tol:.1e} in "
         f"{spec.max_inner} iterations (last update {diffs[-1]:.3e})",
-        last=current,
+        last=current[:, 0],
         previous=previous,
         contraction=diffs[-1] / diffs[-2] if len(diffs) >= 2 else np.inf,
     )
+
+
+def _march_info(v: SpatialField, spec: ModelSpec, g: Grid,
+                u_guess: AgeSpaceField | None = None) -> tuple[AgeSpaceField, int]:
+    v = check_spatial(v, g, "trace")
+    U0 = np.zeros(g.n_x) if u_guess is None else total_population(u_guess, g)
+    u, sweeps = _fixed_point(v[None, :], U0[None, :], spec, g)
+    return u[:, 0], sweeps
 
 
 def quasilinear_march(v: SpatialField, spec: ModelSpec, g: Grid,
@@ -212,7 +221,7 @@ def full_residual(lam: float, u: AgeSpaceField, spec: ModelSpec, g: Grid) -> Age
 # -- Jacobian of the reduced residual ---------------------------------------
 
 def jacobian(lam: float, v: SpatialField, spec: ModelSpec, g: Grid,
-             mode: str = "fd") -> DenseOperator:
+             mode: str = "fd", u_guess: AgeSpaceField | None = None) -> DenseOperator:
     """Jacobian of the trace residual at ``(lam, v)``.
 
     ``fd`` (default) differences the residual column by column with step
@@ -221,92 +230,68 @@ def jacobian(lam: float, v: SpatialField, spec: ModelSpec, g: Grid,
     feedback via the divergence-form sensitivity ``-(d'(U) P w_x)_x +
     mu_z(U, a) P w`` and the birth derivative via ``b_z``, where ``P`` is the
     age integral of the tangent field.  The two modes agree to finite
-    difference accuracy.
+    difference accuracy.  ``u_guess`` warm-starts the reconstruction of
+    ``v``, as in :func:`quasilinear_march`.
     """
     if mode == "fd":
-        return _jacobian_fd(lam, v, spec, g)
+        return _jacobian_fd(lam, v, spec, g, u_guess)
     if mode == "analytic":
-        return _jacobian_analytic(lam, v, spec, g)
+        return _jacobian_analytic(lam, v, spec, g, u_guess)
     raise ValueError(f"unknown jacobian mode {mode!r}")
 
 
-def _march_block(traces: np.ndarray, spec: ModelSpec, g: Grid,
-                 U_start: np.ndarray) -> np.ndarray:
-    """Quasilinear fixed point for a block of traces marched in lockstep.
-
-    Row ``i`` converges to ``quasilinear_march(traces[i])``; running the
-    perturbed traces of a difference-quotient Jacobian together turns each
-    sweep into a single concatenated banded solve per age step.
-    """
-    current = _evolve_block(U_start, traces, spec, g)
-    omega = 1.0
-    diffs: list[float] = []
-    for _ in range(spec.max_inner):
-        U_rows = np.einsum("k,mkn->mn", g.w_a, current)
-        proposed = _evolve_block(U_rows, traces, spec, g)
-        diff = float(np.max(np.sqrt(g.dx) * np.linalg.norm(proposed - current, axis=2)))
-        if diff <= spec.inner_tol:
-            return proposed
-        if diffs and diff > diffs[-1]:
-            omega = max(0.03125, 0.5 * omega)
-        elif diffs and diff < 0.25 * diffs[-1]:
-            omega = min(1.0, 2.0 * omega)
-        current = proposed if omega == 1.0 else (1.0 - omega) * current + omega * proposed
-        diffs.append(diff)
-    raise InnerIterationError(
-        f"block fixed point did not reach {spec.inner_tol:.1e} in "
-        f"{spec.max_inner} iterations (last update {diffs[-1]:.3e})",
-        last=current[0],
-        previous=current[0],
-        contraction=diffs[-1] / diffs[-2] if len(diffs) >= 2 else np.inf,
-    )
-
-
-def _jacobian_fd(lam: float, v: SpatialField, spec: ModelSpec, g: Grid) -> DenseOperator:
+def _jacobian_fd(lam: float, v: SpatialField, spec: ModelSpec, g: Grid,
+                 u_guess: AgeSpaceField | None = None) -> DenseOperator:
+    # row 0 of the block is the unperturbed trace, so the base residual goes
+    # through the same sweeps as the perturbed ones
     v = check_spatial(v, g, "trace")
-    R0, u0, _ = _reduced_info(lam, v, spec, g)
+    if u_guess is None:
+        u_guess = quasilinear_march(v, spec, g)
     steps = spec.fd_eps * (1.0 + np.abs(v))
-    traces = v[None, :] + np.diag(steps)
-    U0 = total_population(u0, g)
-    block = _march_block(traces, spec, g, np.tile(U0, (g.n_x, 1)))
+    traces = v[None, :] + np.vstack([np.zeros(g.n_x), np.diag(steps)])
+    U_start = np.tile(total_population(u_guess, g), (g.n_x + 1, 1))
+    block, _ = _fixed_point(traces, U_start, spec, g)
 
-    U_rows = np.einsum("k,mkn->mn", g.w_a, block)
-    b_rows = np.stack([spec.eval_b(U_rows, age) for age in g.a_nodes])
-    R_block = traces - lam * np.einsum("k,kmn,mkn->mn", g.w_a, b_rows, block)
-    return ((R_block - R0[None, :]) / steps[:, None]).T
+    U_rows = np.einsum("k,kmn->mn", g.w_a, block)
+    b_rows = spec.rate_table("b", U_rows, g.a_nodes)
+    R = traces - lam * np.einsum("k,kmn,kmn->mn", g.w_a, b_rows, block)
+    return ((R[1:] - R[0]) / steps[:, None]).T
 
 
-def _jacobian_analytic(lam: float, v: SpatialField, spec: ModelSpec, g: Grid) -> DenseOperator:
+def _population_sensitivity(u: AgeSpaceField, d_prime: np.ndarray, mu_z: np.ndarray,
+                            g: Grid) -> np.ndarray:
+    """Operator sensitivity applied to ``u`` for each unit population
+    perturbation ``e_i``: entry ``[k, :, i]`` is
+    ``divergence_form(d_prime * e_i, u[k]) + mu_z[k] * e_i * u[k]``."""
+    sens = divergence_form(np.diag(d_prime), u[:, None, :], g).transpose(0, 2, 1)
+    nodes = np.arange(g.n_x)
+    sens[:, nodes, nodes] += mu_z * u
+    return sens
+
+
+def _jacobian_analytic(lam: float, v: SpatialField, spec: ModelSpec, g: Grid,
+                       u_guess: AgeSpaceField | None = None) -> DenseOperator:
     v = check_spatial(v, g, "trace")
-    u, _ = _march_info(v, spec, g)
+    u, _ = _march_info(v, spec, g, u_guess)
     U = total_population(u, g)
     n = g.n_x
 
-    d_prime = spec.eval_d_prime(U)
     mu_z = np.stack([spec.eval_mu_z(U, age) for age in g.a_nodes])
-    b_rows = np.stack([spec.eval_b(U, age) for age in g.a_nodes])
+    b_rows = spec.rate_table("b", U, g.a_nodes)
     bz_rows = np.stack([spec.eval_b_z(U, age) for age in g.a_nodes])
-
-    # operator sensitivity applied to u, for each unit population perturbation
-    sens = np.empty((g.n_a + 1, n, n))
-    for i in range(n):
-        p = np.zeros(n)
-        p[i] = 1.0
-        c = d_prime * p
-        for k in range(g.n_a + 1):
-            sens[k, :, i] = divergence_form(c, u[k], g) + mu_z[k] * p * u[k]
+    sens = _population_sensitivity(u, spec.eval_d_prime(U), mu_z, g)
 
     # tangent march splits into a trace part and a population-feedback part
-    trace_part = _evolve_columns(U, np.eye(n), spec, g)
-    feedback = _evolve_columns(U, np.zeros((n, n)), spec, g, source_cols=-sens)
+    trace_part = evolve(U, np.eye(n), spec, g)
+    feedback = evolve(U, np.zeros((n, n)), spec, g, source=-sens)
     feed_map = np.einsum("k,kij->ij", g.w_a, feedback)
     trace_pop = np.einsum("k,kij->ij", g.w_a, trace_part)
 
     # population tangents solve (I - feed_map) P = age-integral of trace part
     pop_tangent = np.linalg.solve(np.eye(n) - feed_map, trace_pop)
-    correction = _evolve_columns(
+    correction = evolve(
         U, np.zeros((n, n)), spec, g,
-        source_cols=-np.einsum("kni,ij->knj", sens, pop_tangent),
+        source=-np.einsum("kni,ij->knj", sens, pop_tangent),
     )
     tangent = trace_part + correction
 
@@ -351,7 +336,7 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
                 and last_step <= spec.newton_tol):
             return _finish_point(lam, v, u, rnorm, newton_iters, total_inner, spec, g)
 
-        J = jacobian(lam, v, spec, g, mode=jac_mode)
+        J = jacobian(lam, v, spec, g, mode=jac_mode, u_guess=u)
         U = total_population(u, g)
         dR_dlam = -birth_functional(U, u, 1.0, spec, g)
 
@@ -427,6 +412,8 @@ def continue_branch(spec: ModelSpec, g: Grid,
     """
     p = params if params is not None else ContinuationParams.from_spec(spec)
     bif = bifurcation_point(spec, g)
+    if p.lambda_max_factor is not None:
+        p = replace(p, lambda_max=p.lambda_max_factor * bif.lambda0)
     cert = check_simplicity(bif.perron, spec.simplicity_tol, spec.gap_tol)
     if not cert.passed:
         raise ValueError(

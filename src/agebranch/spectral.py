@@ -196,9 +196,7 @@ def bifurcation_point(spec: ModelSpec, g: Grid) -> BifurcationPoint:
     map at zero density.  Errors if the birth rate vanishes identically on the
     age grid, or if the computed eigenvector is not strictly positive.
     """
-    zero = np.zeros(g.n_x)
-    b_peak = max(float(np.max(np.abs(spec.eval_b(zero, age)))) for age in g.a_nodes)
-    if b_peak == 0.0:
+    if not np.any(spec.rate_table("b", np.zeros(g.n_x), g.a_nodes)):
         raise ValueError("birth rate at zero density vanishes on the entire age grid")
 
     Q0 = next_generation_operator(np.zeros((g.n_a + 1, g.n_x)), spec, g)

@@ -24,7 +24,7 @@ from .model import (
     field_norm,
     total_population,
 )
-from .operators import assemble_elliptic, birth_functional, next_generation_operator
+from .operators import advance_cohorts, birth_functional, next_generation_operator
 from .solver import jacobian, quasilinear_march
 from .spectral import bifurcation_point, perron_eigenpair
 
@@ -44,8 +44,9 @@ def simulate_transient(u0: AgeSpaceField, lam: float, n_steps: int,
     """Step the evolution problem with characteristic-aligned dt = da.
 
     Per step: shift every cohort one age cell up (the oldest exits), apply the
-    implicit diffusion-death solve row by row with the population frozen at
-    the start of the step, then fill the newborn row from the birth integral.
+    implicit diffusion-death solve to all rows at once with the population
+    frozen at the start of the step, then fill the newborn row from the birth
+    integral.
     The birth quadrature keeps the pre-step newborn row as its age-zero
     contribution, so stationary solutions reproduce themselves exactly.
     """
@@ -59,9 +60,7 @@ def simulate_transient(u0: AgeSpaceField, lam: float, n_steps: int,
     for _ in range(n_steps):
         U = total_population(u, g)
         new = np.empty_like(u)
-        for k in range(1, g.n_a + 1):
-            op = assemble_elliptic(U, g.a_nodes[k], spec, g)
-            new[k] = op.solve_shifted(g.da, u[k - 1])
+        new[1:] = advance_cohorts(U, u, spec, g)
         new[0] = u[0]
         new[0] = birth_functional(U, new, lam, spec, g)
         if new.min() < -spec.pos_tol:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+import agebranch
 from agebranch import Branch, build_grid, make_spec
 from agebranch.cli import (
     BRANCH_CSV_COLUMNS,
@@ -49,6 +54,19 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 def test_schema_doc_is_in_sync():
     shipped = json.loads((Path(__file__).parents[1] / "docs" / "config_schema.json").read_text())
     assert shipped == CONFIG_SCHEMA
+
+
+def test_config_schema_is_a_valid_schema():
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+def test_importing_the_cli_skips_scipy_optimize():
+    src = str(Path(agebranch.__file__).resolve().parents[1])
+    code = "import sys, agebranch.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_malformed_json_exits_4(tmp_path):

@@ -5,6 +5,7 @@ from agebranch import build_grid, make_spec, total_population
 from agebranch.errors import CoefficientBoundError
 from agebranch.model import ModelSpec
 from agebranch.operators import (
+    advance_cohorts,
     assemble_elliptic,
     birth_functional,
     evolve,
@@ -202,6 +203,18 @@ def test_operator_matches_matrix_free_application(rng, logistic_spec, logistic_g
     assert np.allclose(Q @ v, direct, rtol=1e-12, atol=1e-12)
 
 
+def test_operator_assembled_in_column_chunks(rng, logistic_spec, logistic_grid, monkeypatch):
+    # a fine grid marches the columns a few at a time; the map must not change
+    import agebranch.operators as operators
+
+    g = logistic_grid
+    u = rng.random((g.n_a + 1, g.n_x))
+    whole = next_generation_operator(u, logistic_spec, g)
+    monkeypatch.setattr(operators, "_STACK_BYTES", 5 * (g.n_a + 1) * g.n_x * 8)
+    assert np.allclose(next_generation_operator(u, logistic_spec, g), whole,
+                       rtol=1e-13, atol=0.0)
+
+
 def test_operator_entries_nonnegative(rng, logistic_spec, logistic_grid):
     g = logistic_grid
     u = rng.random((g.n_a + 1, g.n_x))
@@ -209,18 +222,73 @@ def test_operator_entries_nonnegative(rng, logistic_spec, logistic_grid):
     assert Q.min() >= 0.0
 
 
-# -- batched helpers -------------------------------------------------------------
+# -- batched marches -------------------------------------------------------------
 
 def test_block_march_matches_single_marches(rng, logistic_spec, logistic_grid):
-    from agebranch.operators import _evolve_block
-
     g = logistic_grid
     U_rows = rng.random((3, g.n_x))
     traces = rng.random((3, g.n_x))
-    block = _evolve_block(U_rows, traces, logistic_spec, g)
+    block = evolve(U_rows, traces, logistic_spec, g)
     for i in range(3):
         single = evolve(U_rows[i], traces[i], logistic_spec, g)
-        assert np.allclose(block[i], single, rtol=1e-13, atol=1e-14)
+        assert np.allclose(block[:, i], single, rtol=1e-13, atol=1e-14)
+
+
+def test_march_cases_agree(rng, logistic_spec, logistic_grid):
+    # single traces, a column block under one U, and stacked rows under
+    # copies of that U are the same marches
+    g = logistic_grid
+    U = rng.random(g.n_x)
+    W = rng.random((g.n_x, 4))
+    source = rng.random((g.n_a + 1, g.n_x, 4))
+    cols = evolve(U, W, logistic_spec, g, source=source)
+    rows = evolve(np.tile(U, (4, 1)), W.T, logistic_spec, g,
+                  source=source.transpose(0, 2, 1))
+    for j in range(4):
+        single = evolve(U, W[:, j], logistic_spec, g, source=source[:, :, j])
+        assert np.allclose(cols[:, :, j], single, rtol=1e-13, atol=0.0)
+        assert np.allclose(rows[:, j], single, rtol=1e-13, atol=0.0)
+
+
+def test_negative_death_rate_names_the_age(logistic_grid):
+    g = logistic_grid
+    bad_age = g.a_nodes[17]
+    spec = ModelSpec(
+        d=lambda z: np.ones_like(z),
+        mu=lambda z, a: np.full_like(z, -1.0 if a == bad_age else 1.0),
+        b=lambda z, a: np.ones_like(z),
+        d_lower=0.5,
+        n_x=g.n_x,
+        n_a=g.n_a,
+    )
+    with pytest.raises(CoefficientBoundError, match=f"negative at age {bad_age:.6g}"):
+        evolve(np.zeros(g.n_x), np.ones(g.n_x), spec, g)
+
+
+def test_non_finite_age_step_is_an_arithmetic_error(logistic_grid):
+    # a finite but huge diffusivity overflows the assembled bands
+    g = logistic_grid
+    spec = ModelSpec(
+        d=lambda z: np.full_like(z, 1e308),
+        mu=lambda z, a: np.ones_like(z),
+        b=lambda z, a: np.ones_like(z),
+        d_lower=0.5,
+        n_x=g.n_x,
+        n_a=g.n_a,
+    )
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
+        evolve(np.zeros(g.n_x), np.ones(g.n_x), spec, g)
+
+
+def test_cohort_step_matches_row_solves(rng, logistic_spec, logistic_grid):
+    g = logistic_grid
+    U = rng.random(g.n_x)
+    u = rng.random((g.n_a + 1, g.n_x))
+    stepped = advance_cohorts(U, u, logistic_spec, g)
+    for k in range(1, g.n_a + 1):
+        op = assemble_elliptic(U, g.a_nodes[k], logistic_spec, g)
+        assert np.allclose(stepped[k - 1], op.solve_shifted(g.da, u[k - 1]),
+                           rtol=1e-13, atol=0.0)
 
 
 def test_divergence_form_matches_assembled_operator(rng):

@@ -19,9 +19,9 @@ from agebranch import (
     weighted_inner,
 )
 from agebranch.errors import SingularSystemError
-from agebranch.operators import evolve
+from agebranch.operators import divergence_form, evolve
 from agebranch.oracles import equilibrium_intensity, homogeneous_profile, march_population
-from agebranch.solver import BranchPoint, _march_info
+from agebranch.solver import BranchPoint, _march_info, _population_sensitivity
 from agebranch.spectral import bifurcation_point
 
 
@@ -188,6 +188,31 @@ def test_jacobian_modes_agree_along_branch(logistic, logistic_branch, rng):
         J_an = jacobian(pt.lam, pt.v, spec, g, mode="analytic")
         scale = 1.0 + float(np.max(np.abs(pt.v)))
         assert np.max(np.abs(J_fd - J_an)) <= 1e-5 * scale
+
+
+def test_warm_started_jacobian_matches_cold(logistic, logistic_branch):
+    spec, g = logistic
+    for pt in logistic_branch.points[::5]:
+        scale = 1.0 + float(np.max(np.abs(pt.v)))
+        for mode in ("fd", "analytic"):
+            cold = jacobian(pt.lam, pt.v, spec, g, mode=mode)
+            warm = jacobian(pt.lam, pt.v, spec, g, mode=mode, u_guess=pt.u)
+            assert np.max(np.abs(warm - cold)) <= 1e-5 * scale
+
+
+def test_sensitivity_assembly_matches_column_loop(rng):
+    spec = make_spec("density_diffusion", {"d1": 0.7, "kappa": 0.5}, n_x=9, n_a=12)
+    g = build_grid(spec)
+    u = rng.random((g.n_a + 1, g.n_x))
+    d_prime, mu_z = rng.standard_normal(g.n_x), rng.random((g.n_a + 1, g.n_x))
+    loop = np.empty((g.n_a + 1, g.n_x, g.n_x))
+    for i in range(g.n_x):
+        p = np.zeros(g.n_x)
+        p[i] = 1.0
+        for k in range(g.n_a + 1):
+            loop[k, :, i] = divergence_form(d_prime * p, u[k], g) + mu_z[k] * p * u[k]
+    assert np.allclose(_population_sensitivity(u, d_prime, mu_z, g), loop,
+                       rtol=1e-13, atol=0.0)
 
 
 def test_rank_deficiency_at_bifurcation(logistic):
