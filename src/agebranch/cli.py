@@ -20,7 +20,6 @@ import jsonschema
 from .errors import (
     CoefficientBoundError,
     ConfigError,
-    InnerIterationError,
     NoPositiveEigenvalueError,
     PositivityError,
     PowerIterationError,
@@ -56,7 +55,6 @@ from .validate import kernel_dimension, simulate_transient, transversality_check
 
 _NUMERICAL_ERRORS = (
     CoefficientBoundError,
-    InnerIterationError,
     NoPositiveEigenvalueError,
     PositivityError,
     PowerIterationError,
@@ -71,6 +69,8 @@ BRANCH_CSV_COLUMNS = ("index", "arclength", "lambda", "u_norm", "min_u",
 DRIFT_CSV_COLUMNS = ("step", "t", "drift", "min_u")
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+# solver knobs of earlier versions: configs that set them still load
+_IGNORED = "accepted and ignored: the corrector is one Newton method on (lambda, v, U)"
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -93,9 +93,9 @@ CONFIG_SCHEMA = {
                 "n_x": {"type": "integer", "minimum": 3},
                 "n_a": {"type": "integer", "minimum": 2},
                 "newton_tol": _POSITIVE,
-                "inner_tol": _POSITIVE,
+                "inner_tol": {**_POSITIVE, "description": _IGNORED},
                 "eigen_tol": _POSITIVE,
-                "fd_eps": _POSITIVE,
+                "fd_eps": {**_POSITIVE, "description": _IGNORED},
                 "simplicity_tol": _POSITIVE,
                 "gap_tol": _POSITIVE,
                 "rank_tol": _POSITIVE,
@@ -115,7 +115,7 @@ CONFIG_SCHEMA = {
                 "u_norm_max": _POSITIVE,
                 "max_points": {"type": "integer", "minimum": 1},
                 "pos_tol": _POSITIVE,
-                "jac_mode": {"enum": ["fd", "analytic"]},
+                "jac_mode": {"enum": ["fd", "analytic"], "description": _IGNORED},
             },
         },
         "seed": {"type": "integer", "minimum": 0},
@@ -126,8 +126,8 @@ CONFIG_SCHEMA = {
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 _MODEL_SPEC_KEYS = ("x_min", "x_max", "a_max", "n_x", "n_a", "newton_tol",
-                    "inner_tol", "eigen_tol", "fd_eps", "simplicity_tol",
-                    "gap_tol", "rank_tol", "radius_identity_tol")
+                    "eigen_tol", "simplicity_tol", "gap_tol", "rank_tol",
+                    "radius_identity_tol")
 _CONTINUATION_SPEC_KEYS = ("t0", "ds0", "ds_min", "ds_max", "lambda_max",
                            "u_norm_max", "max_points", "pos_tol")
 
@@ -178,7 +178,7 @@ def _diagnostics_dict(d: PointDiagnostics) -> dict:
         "u_norm": d.u_norm,
         "r_Q_u": d.next_gen_radius,
         "newton_iters": d.newton_iters,
-        "inner_iters": d.inner_iters,
+        "inner_iters": 0,  # the corrector has no inner iteration; key kept for readers
     }
 
 
@@ -293,7 +293,7 @@ def _cmd_continue(args) -> int:
     g = build_grid(spec)
     cont = cfg.get("continuation", {})
     params = ContinuationParams.from_spec(
-        spec, **{key: cont[key] for key in ("jac_mode", "lambda_max_factor") if key in cont})
+        spec, lambda_max_factor=cont.get("lambda_max_factor"))
     branch = continue_branch(spec, g, params)
     out = Path(args.out)
     write_branch_outputs(branch, out, cfg, args.seed)
@@ -332,7 +332,6 @@ def _cmd_verify(args) -> int:
             u_norm=row["u_norm"],
             next_gen_radius=row["r_Q_u"],
             newton_iters=snap["diagnostics"]["newton_iters"],
-            inner_iters=snap["diagnostics"]["inner_iters"],
         )
         pt = BranchPoint(lam=lam, v=v, u=u, arclength=row["arclength"],
                          diagnostics=diags)

@@ -22,17 +22,6 @@ class PowerIterationError(RuntimeError):
         self.last_estimate = last_estimate
 
 
-class InnerIterationError(RuntimeError):
-    """The quasilinear fixed-point iteration did not contract to tolerance."""
-
-    def __init__(self, message: str, last: np.ndarray, previous: np.ndarray,
-                 contraction: float):
-        super().__init__(message)
-        self.last = last
-        self.previous = previous
-        self.contraction = contraction
-
-
 class StepFailureError(RuntimeError):
     """Newton correction exhausted its iteration budget."""
 

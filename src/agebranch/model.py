@@ -65,7 +65,7 @@ class ModelSpec:
     violation is a hard error.
 
     Derivatives ``d_prime``, ``mu_z``, ``b_z`` (partials in ``z``) are needed
-    for the analytic Jacobian mode.  When omitted they are replaced by central
+    by the Newton corrector.  When omitted they are replaced by central
     differences with step ``1e-6 * (1 + |z|)`` and ``derivatives_from_fd`` is
     set so downstream diagnostics can flag the substitution.
     """
@@ -85,9 +85,7 @@ class ModelSpec:
 
     # solver tolerances
     newton_tol: float = 1e-10
-    inner_tol: float = 1e-11
     eigen_tol: float = 1e-10
-    fd_eps: float = 1e-7
 
     # continuation parameters
     t0: float = 1e-2
@@ -100,7 +98,6 @@ class ModelSpec:
     pos_tol: float = 1e-12
 
     # iteration budgets
-    max_inner: int = 200
     max_newton: int = 12
     power_max_iter: int = 100_000
 

@@ -1,10 +1,11 @@
 """Nonlinear residual, Newton correction and branch continuation.
 
-The unknown is reduced to the newborn trace ``v = u(0, .)``: the full field is
-always reconstructed from ``v`` by the quasilinear age march, so Newton runs
-on ``n_x + 1`` unknowns ``(lam, v)`` instead of the whole age-space tensor.
-A full-grid residual is kept alongside as an independent oracle for the
-reduced formulation.
+The field is never an unknown: it is the linear age march ``u = E(U) v`` of
+the newborn trace ``v = u(0, .)`` frozen at a total population ``U``.  Newton
+runs on the ``2 n_x + 1`` unknowns ``(lam, v, U)`` with the residuals
+``R_v = v - lam * B(U, u)`` and ``R_U = U - int u da`` instead of on the
+whole age-space tensor.  A full-grid residual is kept alongside as an
+independent oracle for this formulation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    InnerIterationError,
     NoPositiveEigenvalueError,
     SingularSystemError,
     StepFailureError,
@@ -57,7 +57,6 @@ class PointDiagnostics:
     u_norm: float
     next_gen_radius: float
     newton_iters: int
-    inner_iters: int
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,6 @@ class ContinuationParams:
     u_norm_max: float
     max_points: int
     pos_tol: float
-    jac_mode: str = "fd"
     # when set, replaces lambda_max by this multiple of the critical intensity
     lambda_max_factor: float | None = None
     arc_weight_lambda: float = 1.0
@@ -127,75 +125,91 @@ class ContinuationParams:
         return cls(**values)
 
 
-# -- quasilinear reconstruction ---------------------------------------------
+# -- residual blocks --------------------------------------------------------
 
-def _fixed_point(traces: np.ndarray, U_start: np.ndarray, spec: ModelSpec,
-                 g: Grid) -> tuple[np.ndarray, int]:
-    """Damped quasilinear fixed point for m traces (shape (m, n_x)) marched in
-    lockstep, each sweep one stacked march; returns the (n_a + 1, m, n_x)
-    fields and the number of sweeps.  Converged when the largest update of
-    any row is at or below ``inner_tol``."""
-    current = evolve(U_start, traces, spec, g)
-    omega = 1.0
-    previous = current[:, 0]
-    diffs: list[float] = []
-    for it in range(1, spec.max_inner + 1):
-        U_rows = (g.w_a @ current.reshape(g.n_a + 1, -1)).reshape(traces.shape)
-        proposed = evolve(U_rows, traces, spec, g)
-        diff = float(np.max(np.sqrt(g.dx) * np.linalg.norm(proposed - current, axis=2)))
-        if diff <= spec.inner_tol:
-            # the returned field is always an actual march output
-            return proposed, it
-        if diffs and diff > diffs[-1]:
-            omega = max(0.03125, 0.5 * omega)
-        elif diffs and diff < 0.25 * diffs[-1]:
-            omega = min(1.0, 2.0 * omega)
-        previous = current[:, 0].copy()  # a copy keeps no whole block alive
-        current = proposed if omega == 1.0 else (1.0 - omega) * current + omega * proposed
-        diffs.append(diff)
-    raise InnerIterationError(
-        f"quasilinear fixed point did not reach {spec.inner_tol:.1e} in "
-        f"{spec.max_inner} iterations (last update {diffs[-1]:.3e})",
-        last=current[:, 0],
-        previous=previous,
-        contraction=diffs[-1] / diffs[-2] if len(diffs) >= 2 else np.inf,
+def _population_sensitivity(u: AgeSpaceField, d_prime: np.ndarray, mu_z: np.ndarray,
+                            g: Grid) -> np.ndarray:
+    """Operator sensitivity applied to ``u`` for each unit population
+    perturbation ``e_i``: entry ``[k, :, i]`` is
+    ``divergence_form(d_prime * e_i, u[k]) + mu_z[k] * e_i * u[k]``."""
+    sens = divergence_form(np.diag(d_prime), u[:, None, :], g).transpose(0, 2, 1)
+    nodes = np.arange(g.n_x)
+    sens[:, nodes, nodes] += mu_z * u
+    return sens
+
+
+def _field_tangent(U: SpatialField, u: AgeSpaceField, spec: ModelSpec,
+                   g: Grid) -> np.ndarray:
+    """``du/dU`` of ``u = E(U) v`` at fixed ``v``, shape (n_a + 1, n_x, n_x):
+    column ``i`` is the zero-trace march with source ``-(dA/dU_i) u``."""
+    mu_z = np.stack([spec.eval_mu_z(U, age) for age in g.a_nodes])
+    sens = _population_sensitivity(u, spec.eval_d_prime(U), mu_z, g)
+    return evolve(U, np.zeros((g.n_x, g.n_x)), spec, g, source=-sens)
+
+
+def _residual_jacobian(lam: float, U: SpatialField, u: AgeSpaceField,
+                       spec: ModelSpec, g: Grid) -> np.ndarray:
+    """Derivative of ``(R_v, R_U)`` in ``(v, U, lam)`` at ``u = E(U) v``,
+    shape (2 n_x, 2 n_x + 1), where ``R_v = v - lam * B(U, u)`` and
+    ``R_U = U - int u da``.  ``B`` depends on ``U`` through ``u`` and through
+    ``b_z``."""
+    n = g.n_x
+    du_dv = evolve(U, np.eye(n), spec, g)
+    du_dU = _field_tangent(U, u, spec, g)
+    b_rows = spec.rate_table("b", U, g.a_nodes)
+    bz_rows = np.stack([spec.eval_b_z(U, age) for age in g.a_nodes])
+    J = np.zeros((2 * n, 2 * n + 1))
+    J[:n, :n] = np.eye(n) - lam * np.einsum("k,kn,knj->nj", g.w_a, b_rows, du_dv)
+    J[:n, n:2 * n] = -lam * (np.einsum("k,kn,knj->nj", g.w_a, b_rows, du_dU)
+                             + np.diag(np.einsum("k,kn,kn->n", g.w_a, bz_rows, u)))
+    J[:n, 2 * n] = -np.einsum("k,kn,kn->n", g.w_a, b_rows, u)
+    J[n:, :n] = -np.einsum("k,kij->ij", g.w_a, du_dv)
+    J[n:, n:2 * n] = np.eye(n) - np.einsum("k,kij->ij", g.w_a, du_dU)
+    return J
+
+
+# -- field of a trace --------------------------------------------------------
+
+def _population_newton(v: SpatialField, spec: ModelSpec, g: Grid
+                       ) -> tuple[SpatialField, AgeSpaceField, int]:
+    """Newton on ``R_U = U - int E(U) v da`` at fixed ``v``, from ``U = 0``.
+
+    Returns the population, its field ``E(U) v`` and the number of Newton
+    steps taken; converged when ``|R_U|`` is at or below ``newton_tol``.
+    """
+    v = check_spatial(v, g, "trace")
+    U = np.zeros(g.n_x)
+    rnorm = np.inf
+    for steps in range(spec.max_newton + 1):
+        u = evolve(U, v, spec, g)
+        R_U = U - g.w_a @ u
+        rnorm = trace_norm(R_U, g)
+        if rnorm <= spec.newton_tol:
+            return U, u, steps
+        dRU_dU = np.eye(g.n_x) - np.einsum("k,kij->ij", g.w_a, _field_tangent(U, u, spec, g))
+        U = U - np.linalg.solve(dRU_dU, R_U)
+    raise StepFailureError(
+        f"population Newton stalled at residual {rnorm:.3e} after "
+        f"{spec.max_newton} iterations",
+        residual_norm=float(rnorm),
+        iterations=spec.max_newton,
     )
 
 
-def _march_info(v: SpatialField, spec: ModelSpec, g: Grid,
-                u_guess: AgeSpaceField | None = None) -> tuple[AgeSpaceField, int]:
-    v = check_spatial(v, g, "trace")
-    U0 = np.zeros(g.n_x) if u_guess is None else total_population(u_guess, g)
-    u, sweeps = _fixed_point(v[None, :], U0[None, :], spec, g)
-    return u[:, 0], sweeps
-
-
-def quasilinear_march(v: SpatialField, spec: ModelSpec, g: Grid,
-                      u_guess: AgeSpaceField | None = None) -> AgeSpaceField:
+def quasilinear_march(v: SpatialField, spec: ModelSpec, g: Grid) -> AgeSpaceField:
     """Reconstruct the full field whose trace is ``v``.
 
-    Damped fixed-point iteration on the frozen-population march: each sweep
-    re-evolves ``v`` under the total population of the previous iterate, with
-    the relaxation factor adapted downward when the update stops contracting.
+    The field is the march ``E(U) v`` frozen at the total population ``U``
+    that it reproduces, found by Newton on ``U`` from zero.
     """
-    u, _ = _march_info(v, spec, g, u_guess)
-    return u
-
-
-def _reduced_info(lam: float, v: SpatialField, spec: ModelSpec, g: Grid,
-                  u_guess: AgeSpaceField | None = None
-                  ) -> tuple[SpatialField, AgeSpaceField, int]:
-    u, iters = _march_info(v, spec, g, u_guess)
-    U = total_population(u, g)
-    R = v - birth_functional(U, u, lam, spec, g)
-    return R, u, iters
+    return _population_newton(v, spec, g)[1]
 
 
 def reduced_residual(lam: float, v: SpatialField, spec: ModelSpec, g: Grid
                      ) -> tuple[SpatialField, AgeSpaceField]:
     """Trace residual ``v - lam * birth(u[v])`` and the reconstruction u[v]."""
-    R, u, _ = _reduced_info(lam, v, spec, g)
-    return R, u
+    U, u, _ = _population_newton(v, spec, g)
+    return v - birth_functional(U, u, lam, spec, g), u
 
 
 def full_residual(lam: float, u: AgeSpaceField, spec: ModelSpec, g: Grid) -> AgeSpaceField:
@@ -218,86 +232,19 @@ def full_residual(lam: float, u: AgeSpaceField, spec: ModelSpec, g: Grid) -> Age
     return u - evolve(zero, newborn, spec, g, source=src)
 
 
-# -- Jacobian of the reduced residual ---------------------------------------
+def jacobian(lam: float, v: SpatialField, spec: ModelSpec, g: Grid) -> DenseOperator:
+    """Jacobian of the trace residual :func:`reduced_residual` at ``(lam, v)``.
 
-def jacobian(lam: float, v: SpatialField, spec: ModelSpec, g: Grid,
-             mode: str = "fd", u_guess: AgeSpaceField | None = None) -> DenseOperator:
-    """Jacobian of the trace residual at ``(lam, v)``.
-
-    ``fd`` (default) differences the residual column by column with step
-    ``fd_eps * (1 + |v_j|)``.  ``analytic`` assembles the directional
-    derivative exactly: the march is differentiated through its population
-    feedback via the divergence-form sensitivity ``-(d'(U) P w_x)_x +
-    mu_z(U, a) P w`` and the birth derivative via ``b_z``, where ``P`` is the
-    age integral of the tangent field.  The two modes agree to finite
-    difference accuracy.  ``u_guess`` warm-starts the reconstruction of
-    ``v``, as in :func:`quasilinear_march`.
+    The Schur complement ``dR_v/dv - dR_v/dU (dR_U/dU)^{-1} dR_U/dv`` of the
+    corrector's blocks, taken at the population of the reconstruction of
+    ``v``.  The field depends on ``U`` through the divergence-form
+    sensitivity ``-(d'(U) P w_x)_x + mu_z(U, a) P w`` of the operator in a
+    population direction ``P``, the birth integral also through ``b_z``.
     """
-    if mode == "fd":
-        return _jacobian_fd(lam, v, spec, g, u_guess)
-    if mode == "analytic":
-        return _jacobian_analytic(lam, v, spec, g, u_guess)
-    raise ValueError(f"unknown jacobian mode {mode!r}")
-
-
-def _jacobian_fd(lam: float, v: SpatialField, spec: ModelSpec, g: Grid,
-                 u_guess: AgeSpaceField | None = None) -> DenseOperator:
-    # row 0 of the block is the unperturbed trace, so the base residual goes
-    # through the same sweeps as the perturbed ones
-    v = check_spatial(v, g, "trace")
-    if u_guess is None:
-        u_guess = quasilinear_march(v, spec, g)
-    steps = spec.fd_eps * (1.0 + np.abs(v))
-    traces = v[None, :] + np.vstack([np.zeros(g.n_x), np.diag(steps)])
-    U_start = np.tile(total_population(u_guess, g), (g.n_x + 1, 1))
-    block, _ = _fixed_point(traces, U_start, spec, g)
-
-    U_rows = np.einsum("k,kmn->mn", g.w_a, block)
-    b_rows = spec.rate_table("b", U_rows, g.a_nodes)
-    R = traces - lam * np.einsum("k,kmn,kmn->mn", g.w_a, b_rows, block)
-    return ((R[1:] - R[0]) / steps[:, None]).T
-
-
-def _population_sensitivity(u: AgeSpaceField, d_prime: np.ndarray, mu_z: np.ndarray,
-                            g: Grid) -> np.ndarray:
-    """Operator sensitivity applied to ``u`` for each unit population
-    perturbation ``e_i``: entry ``[k, :, i]`` is
-    ``divergence_form(d_prime * e_i, u[k]) + mu_z[k] * e_i * u[k]``."""
-    sens = divergence_form(np.diag(d_prime), u[:, None, :], g).transpose(0, 2, 1)
-    nodes = np.arange(g.n_x)
-    sens[:, nodes, nodes] += mu_z * u
-    return sens
-
-
-def _jacobian_analytic(lam: float, v: SpatialField, spec: ModelSpec, g: Grid,
-                       u_guess: AgeSpaceField | None = None) -> DenseOperator:
-    v = check_spatial(v, g, "trace")
-    u, _ = _march_info(v, spec, g, u_guess)
-    U = total_population(u, g)
+    U, u, _ = _population_newton(v, spec, g)
+    J = _residual_jacobian(lam, U, u, spec, g)
     n = g.n_x
-
-    mu_z = np.stack([spec.eval_mu_z(U, age) for age in g.a_nodes])
-    b_rows = spec.rate_table("b", U, g.a_nodes)
-    bz_rows = np.stack([spec.eval_b_z(U, age) for age in g.a_nodes])
-    sens = _population_sensitivity(u, spec.eval_d_prime(U), mu_z, g)
-
-    # tangent march splits into a trace part and a population-feedback part
-    trace_part = evolve(U, np.eye(n), spec, g)
-    feedback = evolve(U, np.zeros((n, n)), spec, g, source=-sens)
-    feed_map = np.einsum("k,kij->ij", g.w_a, feedback)
-    trace_pop = np.einsum("k,kij->ij", g.w_a, trace_part)
-
-    # population tangents solve (I - feed_map) P = age-integral of trace part
-    pop_tangent = np.linalg.solve(np.eye(n) - feed_map, trace_pop)
-    correction = evolve(
-        U, np.zeros((n, n)), spec, g,
-        source=-np.einsum("kni,ij->knj", sens, pop_tangent),
-    )
-    tangent = trace_part + correction
-
-    birth_term = np.einsum("k,kn,knj->nj", g.w_a, b_rows, tangent)
-    birth_z_term = np.einsum("k,kn,kn,nj->nj", g.w_a, bz_rows, u, pop_tangent)
-    return np.eye(n) - lam * (birth_term + birth_z_term)
+    return J[:n, :n] - J[:n, n:2 * n] @ np.linalg.solve(J[n:, n:2 * n], J[n:, :n])
 
 
 # -- bordered Newton corrector ----------------------------------------------
@@ -307,44 +254,43 @@ _COND_LIMIT = 1e13
 
 def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
                    target: float, spec: ModelSpec, g: Grid,
-                   jac_mode: str = "fd",
-                   u_guess: AgeSpaceField | None = None) -> BranchPoint:
-    """Solve the bordered system ``R(lam, v) = 0``, ``constraint = target``.
+                   U: SpatialField | None = None) -> BranchPoint:
+    """Solve ``R_v = 0``, ``R_U = 0``, ``constraint = target`` for ``(lam, v, U)``.
 
-    Newton on ``(lam, v)`` jointly; converged when the residual norm and the
-    last step norm are both at or below ``newton_tol``.  From the trivial
-    branch with a pure amplitude constraint the bordered matrix is singular
-    (the intensity column vanishes at ``v = 0``), which raises
+    ``R_v = v - lam * B(U, E(U) v)`` and ``R_U = U - int E(U) v da``, with
+    ``E(U)`` the age march frozen at ``U`` and ``U`` starting from the given
+    guess (zero by default).  Newton on the bordered system of size
+    ``2 n_x + 1``; converged when both residual norms, the constraint defect
+    and the last ``(v, lam)`` step norm are at or below ``newton_tol``.  From
+    the trivial branch with a pure amplitude constraint the bordered matrix is
+    singular (the intensity column vanishes at ``v = 0``), which raises
     :class:`SingularSystemError`; linear models have no nontrivial solutions
     off the critical intensity for the corrector to find.
     """
     v = np.array(v, dtype=float, copy=True)
+    U = np.zeros(g.n_x) if U is None else np.array(U, dtype=float, copy=True)
     lam = float(lam)
     n = g.n_x
-    total_inner = 0
     last_step = 0.0
     rnorm = np.inf
 
     for newton_iters in range(spec.max_newton + 1):
-        R, u, inner = _reduced_info(lam, v, spec, g, u_guess)
-        total_inner += inner
-        u_guess = u
-        rnorm = trace_norm(R, g)
+        u = evolve(U, v, spec, g)
+        R_v = v - birth_functional(U, u, lam, spec, g)
+        R_U = U - g.w_a @ u
+        rnorm = trace_norm(R_v, g)
         cres = constraint(lam, v) - target
         if (rnorm <= spec.newton_tol
+                and trace_norm(R_U, g) <= spec.newton_tol
                 and abs(cres) <= spec.newton_tol * (1.0 + abs(target))
                 and last_step <= spec.newton_tol):
-            return _finish_point(lam, v, u, rnorm, newton_iters, total_inner, spec, g)
+            return _finish_point(lam, v, u, rnorm, newton_iters, spec, g)
 
-        J = jacobian(lam, v, spec, g, mode=jac_mode, u_guess=u)
-        U = total_population(u, g)
-        dR_dlam = -birth_functional(U, u, 1.0, spec, g)
-
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = J
-        bordered[:n, n] = dR_dlam
-        bordered[n, :n] = constraint.coeff_v
-        bordered[n, n] = constraint.coeff_lambda
+        # unknowns ordered (v, U, lam); the constraint sees (v, lam) only
+        bordered = np.vstack([
+            _residual_jacobian(lam, U, u, spec, g),
+            np.concatenate([constraint.coeff_v, np.zeros(n), [constraint.coeff_lambda]]),
+        ])
         cond = float(np.linalg.cond(bordered))
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularSystemError(
@@ -352,10 +298,11 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
                 "fold point or defective constraint",
                 condition_estimate=cond,
             )
-        step = np.linalg.solve(bordered, -np.concatenate([R, [cres]]))
+        step = np.linalg.solve(bordered, -np.concatenate([R_v, R_U, [cres]]))
         v = v + step[:n]
-        lam = lam + float(step[n])
-        last_step = float(np.hypot(trace_norm(step[:n], g), step[n]))
+        U = U + step[n:2 * n]
+        lam = lam + float(step[2 * n])
+        last_step = float(np.hypot(trace_norm(step[:n], g), step[2 * n]))
 
     raise StepFailureError(
         f"Newton corrector stalled at residual {rnorm:.3e} after "
@@ -365,7 +312,7 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
     )
 
 
-def _finish_point(lam, v, u, rnorm, newton_iters, inner_iters, spec, g) -> BranchPoint:
+def _finish_point(lam, v, u, rnorm, newton_iters, spec, g) -> BranchPoint:
     try:
         Q = next_generation_operator(u, spec, g)
         radius = perron_eigenpair(Q, tol=spec.eigen_tol, max_iter=spec.power_max_iter,
@@ -378,7 +325,6 @@ def _finish_point(lam, v, u, rnorm, newton_iters, inner_iters, spec, g) -> Branc
         u_norm=field_norm(u, g),
         next_gen_radius=float(radius),
         newton_iters=newton_iters,
-        inner_iters=inner_iters,
     )
     return BranchPoint(lam=float(lam), v=v.copy(), u=u, arclength=0.0, diagnostics=diags)
 
@@ -435,10 +381,10 @@ def continue_branch(spec: ModelSpec, g: Grid,
         try:
             first = newton_correct(
                 lam0, t * phi0, amplitude_constraint,
-                t * weighted_inner(psi0, phi0, g), spec, g, jac_mode=p.jac_mode,
+                t * weighted_inner(psi0, phi0, g), spec, g,
             )
             break
-        except (StepFailureError, SingularSystemError, InnerIterationError):
+        except (StepFailureError, SingularSystemError):
             t *= 0.5
     if first is None:
         return make_branch([], "step_failure", [])
@@ -449,8 +395,8 @@ def continue_branch(spec: ModelSpec, g: Grid,
     first = replace(first, arclength=_combined_norm(first.lam - lam0, first.v, p, g))
     points = [first]
     tangents: list[tuple[float, np.ndarray]] = []
-    prev_lam, prev_v = lam0, np.zeros(g.n_x)
-    current = first
+    prev_lam, prev_v, prev_U = lam0, np.zeros(g.n_x), np.zeros(g.n_x)
+    current, current_U = first, total_population(first.u, g)
     ds = p.ds0
 
     while True:
@@ -462,6 +408,8 @@ def continue_branch(spec: ModelSpec, g: Grid,
         scale = _combined_norm(dlam, dv, p, g)
         tau_lam, tau_v = dlam / scale, dv / scale
         tangents.append((tau_lam, tau_v))
+        # U rides along the (lam, v) secant without entering the arclength
+        tau_U = (current_U - prev_U) / scale
 
         while True:
             lam_pred = current.lam + ds * tau_lam
@@ -473,10 +421,9 @@ def continue_branch(spec: ModelSpec, g: Grid,
             target = constraint(lam_pred, v_pred)
             try:
                 accepted = newton_correct(lam_pred, v_pred, constraint, target,
-                                          spec, g, jac_mode=p.jac_mode,
-                                          u_guess=current.u)
+                                          spec, g, U=current_U + ds * tau_U)
                 break
-            except (StepFailureError, SingularSystemError, InnerIterationError):
+            except (StepFailureError, SingularSystemError):
                 ds *= 0.5
                 if ds < p.ds_min:
                     return make_branch(points, "step_failure", tangents)
@@ -491,8 +438,8 @@ def continue_branch(spec: ModelSpec, g: Grid,
         points.append(accepted)
         if accepted.diagnostics.newton_iters <= 3:
             ds = min(2.0 * ds, p.ds_max)
-        prev_lam, prev_v = current.lam, current.v
-        current = accepted
+        prev_lam, prev_v, prev_U = current.lam, current.v, current_U
+        current, current_U = accepted, total_population(accepted.u, g)
 
 
 # -- per-point invariant report ----------------------------------------------

@@ -86,18 +86,15 @@ class KernelReport:
     agree: bool
 
 
-def kernel_dimension(lam: float, v: SpatialField, spec: ModelSpec, g: Grid,
-                     jac_mode: str = "analytic") -> KernelReport:
+def kernel_dimension(lam: float, v: SpatialField, spec: ModelSpec, g: Grid) -> KernelReport:
     """Numerical kernel dimension of the reduced Jacobian at ``(lam, v)``.
 
     Counts singular values below ``rank_tol`` times the largest, and compares
     with the same count for ``I - lam * Q`` where ``Q`` is the birth-return
-    map frozen at the reconstruction of ``v``.  The analytic Jacobian is the
-    default here: rank decisions at the 1e-8 level sit below the noise floor
-    of difference quotients.
+    map frozen at the reconstruction of ``v``.
     """
     v = check_spatial(v, g, "trace")
-    J = jacobian(lam, v, spec, g, mode=jac_mode)
+    J = jacobian(lam, v, spec, g)
     sv = np.linalg.svd(J, compute_uv=False)
     dim = int(np.sum(sv < spec.rank_tol * sv[0]))
 

@@ -70,7 +70,6 @@ def branch_points(branch_run, logistic_setup):
             u_norm=row["u_norm"],
             next_gen_radius=row["r_Q_u"],
             newton_iters=snap["diagnostics"]["newton_iters"],
-            inner_iters=snap["diagnostics"]["inner_iters"],
         )
         points.append(BranchPoint(
             lam=float(snap["lambda"]),

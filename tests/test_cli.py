@@ -245,3 +245,21 @@ def test_shipped_configs_validate():
         cfg = load_config(Path(__file__).parents[1] / "configs" / name)
         spec = spec_from_config(cfg)
         assert spec.family == cfg["model"]["family"]
+
+
+def test_retired_solver_keys_load_and_change_nothing(tmp_path):
+    shipped = load_config(Path(__file__).parents[1] / "configs" / "logistic_death.json")
+    csvs = []
+    for mode in ("fd", "analytic"):
+        cfg = json.loads(json.dumps(shipped))
+        cfg["continuation"]["jac_mode"] = mode
+        out = tmp_path / mode
+        assert run_command(["continue", "--config", write_cfg(tmp_path, cfg, f"{mode}.json"),
+                            "--out", str(out)]) == 0
+        csvs.append((out / "branch.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+    cfg = json.loads(json.dumps(SMALL_LOGISTIC))
+    cfg["model"].update(inner_tol=1e-11, fd_eps=1e-7)
+    spec = spec_from_config(load_config(write_cfg(tmp_path, cfg)))
+    assert (spec.n_x, spec.newton_tol) == (10, 1e-10)

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from agebranch import (
     AffineConstraint,
     ContinuationParams,
+    ModelSpec,
     branch_invariant_check,
     build_grid,
     continue_branch,
@@ -18,10 +21,20 @@ from agebranch import (
     total_population,
     weighted_inner,
 )
-from agebranch.errors import SingularSystemError
-from agebranch.operators import divergence_form, evolve
-from agebranch.oracles import equilibrium_intensity, homogeneous_profile, march_population
-from agebranch.solver import BranchPoint, _march_info, _population_sensitivity
+from agebranch.errors import SingularSystemError, StepFailureError
+from agebranch.operators import birth_functional, divergence_form, evolve
+from agebranch.oracles import (
+    equilibrium_intensity,
+    homogeneous_profile,
+    march_population,
+    survival_sum,
+)
+from agebranch.solver import (
+    BranchPoint,
+    _population_newton,
+    _population_sensitivity,
+    _residual_jacobian,
+)
 from agebranch.spectral import bifurcation_point
 
 
@@ -44,17 +57,19 @@ def logistic_branch(logistic):
 # -- quasilinear march ---------------------------------------------------------
 
 def test_zero_trace_is_fixed_point_in_one_iteration(logistic):
+    # counted in Newton steps on U: the zero start is already the solution
     spec, g = logistic
-    u, iters = _march_info(np.zeros(g.n_x), spec, g)
+    _, u, steps = _population_newton(np.zeros(g.n_x), spec, g)
     assert np.all(u == 0.0)
-    assert iters == 1
+    assert steps == 0
 
 
 def test_linear_model_needs_no_self_coupling(constant_spec, constant_grid, rng):
+    # the march does not depend on U, so one Newton step on U is exact
     g = constant_grid
     v = rng.random(g.n_x)
-    u, iters = _march_info(v, constant_spec, g)
-    assert iters == 1
+    _, u, steps = _population_newton(v, constant_spec, g)
+    assert steps == 1
     assert np.allclose(u, evolve(np.zeros(g.n_x), v, constant_spec, g), rtol=1e-12)
 
 
@@ -68,8 +83,8 @@ def test_march_matches_scalar_fixed_point(logistic):
 
 
 def test_march_damps_through_strong_feedback():
-    # kappa this large makes the undamped sweep overshoot; the relaxation
-    # factor has to back off for the iteration to settle
+    # kappa this large makes the population feedback dominate the march;
+    # Newton on U has to converge from zero all the same
     spec = make_spec("logistic_death", {"kappa": 30.0}, n_x=6, n_a=20)
     g = build_grid(spec)
     v = np.full(g.n_x, 0.8)
@@ -79,16 +94,13 @@ def test_march_damps_through_strong_feedback():
     assert np.max(np.abs(u - expected[:, None])) <= 1e-9
 
 
-def test_march_failure_carries_iterates():
-    from agebranch.errors import InnerIterationError
-
-    spec = make_spec("logistic_death", {"kappa": 30.0}, n_x=6, n_a=20, max_inner=3)
+def test_march_budget_exhaustion_raises_step_failure():
+    spec = make_spec("logistic_death", {"kappa": 30.0}, n_x=6, n_a=20, max_newton=1)
     g = build_grid(spec)
-    with pytest.raises(InnerIterationError) as err:
+    with pytest.raises(StepFailureError) as err:
         quasilinear_march(np.full(g.n_x, 0.8), spec, g)
-    assert err.value.last.shape == (g.n_a + 1, g.n_x)
-    assert err.value.previous.shape == (g.n_a + 1, g.n_x)
-    assert np.isfinite(err.value.contraction)
+    assert err.value.iterations == 1
+    assert err.value.residual_norm > spec.newton_tol
 
 
 # -- residuals ------------------------------------------------------------------
@@ -143,61 +155,100 @@ def test_both_characterizations_agree_on_the_branch(logistic, logistic_branch):
 
 # -- jacobian -------------------------------------------------------------------
 
+def fold_model():
+    """Backward bifurcation that turns at a fold: d = 1, mu = 1 + 0.3 z^2,
+    b = 1 + 2 z, with exact derivatives."""
+    def z_(z):
+        return np.asarray(z, dtype=float)
+
+    return ModelSpec(
+        d=lambda z: np.ones_like(z_(z)), d_prime=lambda z: np.zeros_like(z_(z)),
+        mu=lambda z, a: 1.0 + 0.3 * z_(z) ** 2, mu_z=lambda z, a: 0.6 * z_(z),
+        b=lambda z, a: 1.0 + 2.0 * z_(z), b_z=lambda z, a: np.full_like(z_(z), 2.0),
+        d_lower=1.0, n_x=12, n_a=40, lambda_max=3.0, u_norm_max=20.0,
+    )
+
+
+def corrector_residual(lam, v, U, spec, g):
+    """(R_v, R_U) assembled here from the march and the birth integral."""
+    u = evolve(U, v, spec, g)
+    return np.concatenate([v - birth_functional(U, u, lam, spec, g),
+                           U - total_population(u, g)])
+
+
+def fd_residual_jacobian(lam, v, U, spec, g, h=1e-6):
+    """Central differences of (R_v, R_U) in (v, U, lam), column by column."""
+    x = np.concatenate([v, U, [lam]])
+    n = g.n_x
+    cols = []
+    for j in range(x.size):
+        step = h * (1.0 + abs(x[j]))
+        e = np.zeros_like(x)
+        e[j] = step
+        plus, minus = x + e, x - e
+        cols.append((corrector_residual(plus[-1], plus[:n], plus[n:2 * n], spec, g)
+                     - corrector_residual(minus[-1], minus[:n], minus[n:2 * n], spec, g))
+                    / (2.0 * step))
+    return np.column_stack(cols)
+
+
+def assert_blocks_match_fd(lam, v, U, spec, g):
+    J = _residual_jacobian(lam, U, evolve(U, v, spec, g), spec, g)
+    J_fd = fd_residual_jacobian(lam, v, U, spec, g)
+    n = g.n_x
+    blocks = {"dR_v/dv": np.s_[:n, :n], "dR_v/dU": np.s_[:n, n:2 * n],
+              "dR_v/dlam": np.s_[:n, 2 * n:], "dR_U/dv": np.s_[n:, :n],
+              "dR_U/dU": np.s_[n:, n:2 * n], "dR_U/dlam": np.s_[n:, 2 * n:]}
+    scale = 1.0 + float(np.max(np.abs(J)))
+    for name, block in blocks.items():
+        assert np.max(np.abs(J[block] - J_fd[block])) <= 1e-7 * scale, name
+
+
 def test_jacobian_at_origin_is_eigen_operator(constant_spec, constant_grid):
     g = constant_grid
     lam0 = bifurcation_point(constant_spec, g).lambda0
     Q0 = next_generation_operator(np.zeros((g.n_a + 1, g.n_x)), constant_spec, g)
     expected = np.eye(g.n_x) - lam0 * Q0
-    J_fd = jacobian(lam0, np.zeros(g.n_x), constant_spec, g, mode="fd")
-    assert np.max(np.abs(J_fd - expected)) <= 1e-8
-    J_an = jacobian(lam0, np.zeros(g.n_x), constant_spec, g, mode="analytic")
-    assert np.max(np.abs(J_an - expected)) <= 1e-13
+    J = jacobian(lam0, np.zeros(g.n_x), constant_spec, g)
+    assert np.max(np.abs(J - expected)) <= 1e-13
 
 
 def test_jacobian_without_birth_is_identity(constant_spec, constant_grid, rng):
     g = constant_grid
     v = rng.random(g.n_x)
-    J = jacobian(0.0, v, constant_spec, g, mode="fd")
+    J = jacobian(0.0, v, constant_spec, g)
     assert np.max(np.abs(J - np.eye(g.n_x))) <= 1e-9
 
 
-def test_jacobian_modes_agree_at_interior_point(logistic, rng):
-    spec, g = logistic
+@pytest.mark.parametrize("model", ["logistic", "density_diffusion", "fold"])
+def test_corrector_blocks_match_fd_at_interior_point(model, rng):
+    # density_diffusion carries the d' term, the fold model the b_z term
+    spec = {
+        "logistic": lambda: make_spec("logistic_death", n_x=10, n_a=30),
+        "density_diffusion": lambda: make_spec(
+            "density_diffusion", {"d1": 0.7, "kappa": 0.5}, n_x=10, n_a=30),
+        "fold": fold_model,
+    }[model]()
+    g = build_grid(spec)
     v = 0.4 + 0.1 * rng.random(g.n_x)
-    lam = 2.0
-    J_fd = jacobian(lam, v, spec, g, mode="fd")
-    J_an = jacobian(lam, v, spec, g, mode="analytic")
-    assert np.max(np.abs(J_fd - J_an)) <= 1e-5
+    U = 0.3 + 0.1 * rng.random(g.n_x)
+    assert_blocks_match_fd(2.0, v, U, spec, g)
+
+    # the public reduced Jacobian is the Schur complement of the same blocks,
+    # taken at the population that reproduces the trace
+    U_v = total_population(quasilinear_march(v, spec, g), g)
+    J_fd = fd_residual_jacobian(2.0, v, U_v, spec, g)
+    n = g.n_x
+    schur = J_fd[:n, :n] - J_fd[:n, n:2 * n] @ np.linalg.solve(J_fd[n:, n:2 * n],
+                                                                J_fd[n:, :n])
+    J = jacobian(2.0, v, spec, g)
+    assert np.max(np.abs(J - schur)) <= 1e-7 * (1.0 + np.max(np.abs(schur)))
 
 
-def test_jacobian_mode_name_is_checked(logistic):
+def test_corrector_blocks_match_fd_along_branch(logistic, logistic_branch):
     spec, g = logistic
-    with pytest.raises(ValueError):
-        jacobian(1.0, np.zeros(g.n_x), spec, g, mode="adjoint")
-
-
-def test_jacobian_modes_agree_along_branch(logistic, logistic_branch, rng):
-    # forward-difference truncation scales with the same 1 + |v| factor as
-    # the difference step itself, so agreement is checked in that relative form
-    spec, g = logistic
-    points = logistic_branch.points
-    picks = rng.choice(len(points), size=min(10, len(points)), replace=False)
-    for i in picks:
-        pt = points[i]
-        J_fd = jacobian(pt.lam, pt.v, spec, g, mode="fd")
-        J_an = jacobian(pt.lam, pt.v, spec, g, mode="analytic")
-        scale = 1.0 + float(np.max(np.abs(pt.v)))
-        assert np.max(np.abs(J_fd - J_an)) <= 1e-5 * scale
-
-
-def test_warm_started_jacobian_matches_cold(logistic, logistic_branch):
-    spec, g = logistic
-    for pt in logistic_branch.points[::5]:
-        scale = 1.0 + float(np.max(np.abs(pt.v)))
-        for mode in ("fd", "analytic"):
-            cold = jacobian(pt.lam, pt.v, spec, g, mode=mode)
-            warm = jacobian(pt.lam, pt.v, spec, g, mode=mode, u_guess=pt.u)
-            assert np.max(np.abs(warm - cold)) <= 1e-5 * scale
+    for pt in logistic_branch.points[::3]:
+        assert_blocks_match_fd(pt.lam, pt.v, total_population(pt.u, g), spec, g)
 
 
 def test_sensitivity_assembly_matches_column_loop(rng):
@@ -218,7 +269,7 @@ def test_sensitivity_assembly_matches_column_loop(rng):
 def test_rank_deficiency_at_bifurcation(logistic):
     spec, g = logistic
     lam0 = bifurcation_point(spec, g).lambda0
-    J = jacobian(lam0, np.zeros(g.n_x), spec, g, mode="analytic")
+    J = jacobian(lam0, np.zeros(g.n_x), spec, g)
     sv = np.linalg.svd(J, compute_uv=False)
     assert sv[-1] <= 1e-8 * sv[-2]
 
@@ -320,7 +371,7 @@ def test_branch_bookkeeping_invariants(logistic, logistic_branch):
         assert pt.diagnostics.residual_norm <= spec.newton_tol
         assert pt.diagnostics.min_u >= -1e-12
         # the stored field is the fresh reconstruction of the trace
-        assert field_norm(pt.u - quasilinear_march(pt.v, spec, g), g) <= 10 * spec.inner_tol
+        assert field_norm(pt.u - quasilinear_march(pt.v, spec, g), g) <= 1e-10
 
 
 def test_trace_is_perron_vector_of_frozen_map(logistic, logistic_branch):
@@ -329,6 +380,26 @@ def test_trace_is_perron_vector_of_frozen_map(logistic, logistic_branch):
         Q = next_generation_operator(pt.u, spec, g)
         defect = np.max(np.abs(pt.lam * Q @ pt.v - pt.v))
         assert defect <= 1e-8 * np.max(np.abs(pt.v))
+
+
+def test_branch_turns_the_fold_to_the_box():
+    spec = fold_model()
+    g = build_grid(spec)
+    start = time.perf_counter()
+    branch = continue_branch(spec, g)
+    elapsed = time.perf_counter() - start
+
+    assert branch.termination in ("box_norm", "box_lambda")
+    lams = np.array([pt.lam for pt in branch.points])
+    dlam = np.sign(np.diff(lams))
+    assert np.count_nonzero(dlam[1:] != dlam[:-1]) == 1
+    assert abs(lams.min() - 0.48481) <= 1e-4
+    for pt in branch.points:
+        assert pt.diagnostics.min_u > 0.0
+        U = float(np.mean(total_population(pt.u, g)))
+        oracle = 1.0 / ((1.0 + 2.0 * U) * survival_sum(1.0 + 0.3 * U**2, g))
+        assert abs(pt.lam - oracle) <= 1e-9
+    assert elapsed < 10.0
 
 
 def test_box_excluding_the_branch_gives_empty_run(logistic):
