@@ -24,25 +24,18 @@ SpatialField = np.ndarray
 AgeSpaceField = np.ndarray
 
 DiffusivityFun = Callable[[np.ndarray], np.ndarray]
-RateFun = Callable[[np.ndarray, float], np.ndarray]
+# ``rate(z, a)``: ``a`` is an array of ages that broadcasts against ``z``
+RateFun = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _FD_REL_STEP = 1e-6
 
 
 def _central_difference(f):
-    def deriv(z):
+    """Central difference in ``z`` of ``f(z)`` or ``f(z, a)``."""
+    def deriv(z, *age):
         z = np.asarray(z, dtype=float)
         h = _FD_REL_STEP * (1.0 + np.abs(z))
-        return (np.asarray(f(z + h), float) - np.asarray(f(z - h), float)) / (2.0 * h)
-
-    return deriv
-
-
-def _central_difference_rate(f):
-    def deriv(z, age):
-        z = np.asarray(z, dtype=float)
-        h = _FD_REL_STEP * (1.0 + np.abs(z))
-        return (np.asarray(f(z + h, age), float) - np.asarray(f(z - h, age), float)) / (2.0 * h)
+        return (np.asarray(f(z + h, *age), float) - np.asarray(f(z - h, *age), float)) / (2.0 * h)
 
     return deriv
 
@@ -59,10 +52,13 @@ class ModelSpec:
     """One problem instance: coefficients, domain, grid sizes and tolerances.
 
     The diffusivity ``d`` takes the local total population ``z`` and must stay
-    at or above ``d_lower > 0``; death rate ``mu(z, age)`` and birth rate
-    ``b(z, age)`` must be nonnegative.  All three bounds are enforced on every
+    at or above ``d_lower > 0``; death rate ``mu(z, a)`` and birth rate
+    ``b(z, a)`` must be nonnegative.  All three bounds are enforced on every
     evaluation through the ``eval_*`` and ``rate_table`` methods, and a
-    violation is a hard error.
+    violation is a hard error.  A rate function is called once per table,
+    with ``z`` of shape ``(1,) + z.shape`` and the ages ``a`` as a column of
+    shape ``(n_ages,) + (1,) * z.ndim``; its result must broadcast to
+    ``(n_ages,) + z.shape``.
 
     Derivatives ``d_prime``, ``mu_z``, ``b_z`` (partials in ``z``) are needed
     by the Newton corrector.  When omitted they are replaced by central
@@ -119,10 +115,10 @@ class ModelSpec:
             object.__setattr__(self, "d_prime", _central_difference(self.d))
             fd_used = True
         if self.mu_z is None:
-            object.__setattr__(self, "mu_z", _central_difference_rate(self.mu))
+            object.__setattr__(self, "mu_z", _central_difference(self.mu))
             fd_used = True
         if self.b_z is None:
-            object.__setattr__(self, "b_z", _central_difference_rate(self.b))
+            object.__setattr__(self, "b_z", _central_difference(self.b))
             fd_used = True
         object.__setattr__(self, "derivatives_from_fd", fd_used)
 
@@ -147,14 +143,26 @@ class ModelSpec:
         return self.rate_table("b", z, (age,))[0]
 
     def rate_table(self, name: str, z, ages) -> np.ndarray:
-        """``mu`` or ``b`` (by ``name``) at every age in ``ages``, stacked on a
-        new leading axis.  The whole table is checked at once; an entry that
-        is negative or not finite is a hard error naming the first such age."""
-        fun = {"mu": self.mu, "b": self.b}[name]
+        """``mu``, ``b`` or their partials ``mu_z``, ``b_z`` (by ``name``) at
+        every age in ``ages``, stacked on a new leading axis, from one call of
+        the coefficient with the ages broadcast against ``z``.  A ``mu`` or
+        ``b`` table is checked at once; an entry that is negative or not
+        finite is a hard error naming the first such age.  Derivatives may be
+        negative and are not checked."""
+        fun = {"mu": self.mu, "b": self.b, "mu_z": self.mu_z, "b_z": self.b_z}[name]
         z = np.asarray(z, dtype=float)
+        ages = np.asarray(ages, dtype=float)
         values = np.empty((len(ages),) + z.shape)
-        for k, age in enumerate(ages):
-            values[k] = fun(z, age)
+        result = fun(z[None], ages.reshape((-1,) + (1,) * z.ndim))
+        try:
+            values[...] = result
+        except ValueError:
+            raise ValueError(
+                f"{name}(z, a) returned shape {np.shape(result)}, which does not "
+                f"broadcast to {values.shape}: a rate function receives the ages as "
+                "an array that broadcasts against z") from None
+        if name.endswith("_z"):
+            return values
         bad = ~(np.isfinite(values) & (values >= 0.0))
         if bad.any():
             k = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
@@ -168,14 +176,6 @@ class ModelSpec:
     def eval_d_prime(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return _broadcast(self.d_prime(z), z)
-
-    def eval_mu_z(self, z, age: float) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return _broadcast(self.mu_z(z, age), z)
-
-    def eval_b_z(self, z, age: float) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return _broadcast(self.b_z(z, age), z)
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,8 @@ def _field_tangent(U: SpatialField, u: AgeSpaceField, spec: ModelSpec,
                    g: Grid) -> np.ndarray:
     """``du/dU`` of ``u = E(U) v`` at fixed ``v``, shape (n_a + 1, n_x, n_x):
     column ``i`` is the zero-trace march with source ``-(dA/dU_i) u``."""
-    mu_z = np.stack([spec.eval_mu_z(U, age) for age in g.a_nodes])
-    sens = _population_sensitivity(u, spec.eval_d_prime(U), mu_z, g)
+    sens = _population_sensitivity(u, spec.eval_d_prime(U),
+                                   spec.rate_table("mu_z", U, g.a_nodes), g)
     return evolve(U, np.zeros((g.n_x, g.n_x)), spec, g, source=-sens)
 
 
@@ -157,7 +157,7 @@ def _residual_jacobian(lam: float, U: SpatialField, u: AgeSpaceField,
     du_dv = evolve(U, np.eye(n), spec, g)
     du_dU = _field_tangent(U, u, spec, g)
     b_rows = spec.rate_table("b", U, g.a_nodes)
-    bz_rows = np.stack([spec.eval_b_z(U, age) for age in g.a_nodes])
+    bz_rows = spec.rate_table("b_z", U, g.a_nodes)
     J = np.zeros((2 * n, 2 * n + 1))
     J[:n, :n] = np.eye(n) - lam * np.einsum("k,kn,knj->nj", g.w_a, b_rows, du_dv)
     J[:n, n:2 * n] = -lam * (np.einsum("k,kn,knj->nj", g.w_a, b_rows, du_dU)

@@ -131,3 +131,84 @@ def test_make_spec_passes_overrides_through():
     assert spec.newton_tol == 1e-8
     assert spec.lambda_max == 3.0
     assert spec.family == "constant"
+
+
+# -- rate tables: one broadcast call of the coefficient per table ------------
+
+RATE_NAMES = ("mu", "b", "mu_z", "b_z")
+
+
+def _age_dependent_spec():
+    # b = exp(-a) as in the birth-quadrature oracle, with a z-dependence so the
+    # fd-fallback derivatives are nonzero, and b_z negative
+    return ModelSpec(
+        d=lambda z: np.ones_like(z),
+        mu=lambda z, a: (1.0 + a) * (1.0 + z**2),
+        b=lambda z, a: np.exp(-a) / (1.0 + z),
+        d_lower=0.5,
+        n_x=7,
+        n_a=12,
+    )
+
+
+def _per_age_table(fun, z, ages):
+    return np.stack([np.broadcast_to(np.asarray(fun(z, age), float), z.shape)
+                     for age in ages])
+
+
+@pytest.mark.parametrize("z_shape", [(7,), (3, 7)])
+@pytest.mark.parametrize("name", RATE_NAMES)
+@pytest.mark.parametrize("family", ["constant", "logistic_death", "density_diffusion",
+                                    "custom"])
+def test_rate_table_matches_per_age_loop(family, name, z_shape, rng):
+    spec = (_age_dependent_spec() if family == "custom"
+            else make_spec(family, {"kappa": 1.3} if family != "constant" else None,
+                           n_x=7, n_a=12))
+    g = build_grid(spec)
+    z = 2.0 * rng.random(z_shape)
+    table = spec.rate_table(name, z, g.a_nodes)
+    loop = _per_age_table(getattr(spec, name), z, g.a_nodes)
+    assert table.shape == (g.n_a + 1,) + z_shape
+    assert table.flags.writeable
+    if family == "custom":
+        assert spec.derivatives_from_fd
+        assert np.allclose(table, loop, rtol=1e-14, atol=0.0)
+    else:
+        assert np.array_equal(table, loop)
+
+
+def _counted(fun, calls):
+    def wrapped(z, a):
+        calls.append(np.shape(a))
+        return fun(z, a)
+
+    return wrapped
+
+
+def test_one_table_is_one_coefficient_call():
+    from agebranch.operators import evolve
+
+    base = _age_dependent_spec()
+    calls = []
+    spec = ModelSpec(d=base.d, mu=_counted(base.mu, calls), b=base.b, d_lower=0.5,
+                     n_x=base.n_x, n_a=base.n_a)
+    g = build_grid(spec)
+    spec.rate_table("mu", np.zeros((3, g.n_x)), g.a_nodes)
+    assert calls == [(g.n_a + 1, 1, 1)]
+    calls.clear()
+    evolve(np.zeros(g.n_x), np.ones(g.n_x), spec, g)
+    assert len(calls) == 1 and calls[0][0] == g.n_a + 1
+
+
+@pytest.mark.parametrize("name", RATE_NAMES)
+def test_rate_function_breaking_the_broadcast_contract_is_named(name):
+    def bad(z, a):
+        return np.ones((2,) + np.shape(z))
+
+    spec = ModelSpec(d=lambda z: np.ones_like(z), mu=bad, b=bad, mu_z=bad, b_z=bad,
+                     d_lower=0.5, n_x=5, n_a=10)
+    g = build_grid(spec)
+    with pytest.raises(ValueError, match=rf"^{name}\(z, a\) returned shape \(2, 1, 5\), "
+                                         r"which does not broadcast to \(11, 5\): .*ages.*"
+                                         r"broadcasts against z"):
+        spec.rate_table(name, np.zeros(g.n_x), g.a_nodes)

@@ -255,7 +255,7 @@ def test_negative_death_rate_names_the_age(logistic_grid):
     bad_age = g.a_nodes[17]
     spec = ModelSpec(
         d=lambda z: np.ones_like(z),
-        mu=lambda z, a: np.full_like(z, -1.0 if a == bad_age else 1.0),
+        mu=lambda z, a: np.where(a == bad_age, -1.0, 1.0) * np.ones_like(z),
         b=lambda z, a: np.ones_like(z),
         d_lower=0.5,
         n_x=g.n_x,
