@@ -44,16 +44,18 @@ class EllipticOperator:
 
     Row sums equal the nodal reaction coefficients (the diffusion part
     annihilates constants), and the dx-weighted matrix ``W A`` is symmetric.
+    Assembled at an array of ages, ``diag`` is stacked ages first and ``apply``
+    broadcasts over leading axes; ``to_dense`` and ``solve_shifted`` take one age.
     """
 
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
 
-    def apply(self, w: SpatialField) -> SpatialField:
+    def apply(self, w: np.ndarray) -> np.ndarray:
         out = self.diag * w
-        out[:-1] += self.upper * w[1:]
-        out[1:] += self.lower * w[:-1]
+        out[..., :-1] += self.upper * w[..., 1:]
+        out[..., 1:] += self.lower * w[..., :-1]
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -93,13 +95,16 @@ def _diffusion_bands(U_rows: np.ndarray, spec: ModelSpec, g: Grid):
     return lower, diag, upper
 
 
-def assemble_elliptic(U: SpatialField, age: float, spec: ModelSpec, g: Grid) -> EllipticOperator:
-    """Assemble the diffusion-death operator at total population ``U``."""
+def assemble_elliptic(U: SpatialField, age, spec: ModelSpec, g: Grid) -> EllipticOperator:
+    """Assemble the diffusion-death operator at total population ``U`` for a
+    scalar ``age``, or for a 1-D array of ages at once with ``diag`` stacked."""
     U = check_spatial(U, g, "total population")
-    if age < -1e-12 or age > spec.a_max * (1.0 + 1e-12):
-        raise ValueError(f"age {age} outside [0, {spec.a_max}]")
+    outside = np.extract((age < -1e-12) | (age > spec.a_max * (1.0 + 1e-12)), age)
+    if outside.size:
+        raise ValueError(f"age {outside[0]} outside [0, {spec.a_max}]")
     lower, diag, upper = _diffusion_bands(U, spec, g)
-    return EllipticOperator(lower=lower, diag=diag + spec.eval_mu(U, age), upper=upper)
+    mu = spec.rate_table("mu", U, np.reshape(age, -1)).reshape(np.shape(age) + U.shape)
+    return EllipticOperator(lower=lower, diag=diag + mu, upper=upper)
 
 
 def divergence_form(c_nodes: np.ndarray, w: np.ndarray, g: Grid) -> np.ndarray:

@@ -35,7 +35,6 @@ from .operators import (
     DenseOperator,
     assemble_elliptic,
     birth_functional,
-    divergence_form,
     evolve,
     next_generation_operator,
 )
@@ -131,10 +130,19 @@ def _population_sensitivity(u: AgeSpaceField, d_prime: np.ndarray, mu_z: np.ndar
                             g: Grid) -> np.ndarray:
     """Operator sensitivity applied to ``u`` for each unit population
     perturbation ``e_i``: entry ``[k, :, i]`` is
-    ``divergence_form(d_prime * e_i, u[k]) + mu_z[k] * e_i * u[k]``."""
-    sens = divergence_form(np.diag(d_prime), u[:, None, :], g).transpose(0, 2, 1)
+    ``divergence_form(d_prime * e_i, u[k]) + mu_z[k] * e_i * u[k]``, written
+    on rows ``i - 1, i, i + 1`` from the fluxes through the faces of node ``i``."""
+    du = u[:, 1:] - u[:, :-1]
+    left = 0.5 * d_prime[1:] * du    # face left of node i = 1..n_x-1
+    right = 0.5 * d_prime[:-1] * du  # face right of node i = 0..n_x-2
+    rows = np.full(g.n_x, 1.0 / g.dx**2)
+    rows[[0, -1]] *= 2.0  # Neumann closure doubles the boundary rows
     nodes = np.arange(g.n_x)
-    sens[:, nodes, nodes] += mu_z * u
+    sens = np.zeros((g.n_a + 1, g.n_x, g.n_x))
+    sens[:, nodes, nodes] = (np.pad(left, ((0, 0), (1, 0)))
+                             - np.pad(right, ((0, 0), (0, 1)))) * rows + mu_z * u
+    sens[:, nodes[:-1], nodes[1:]] = -left * rows[:-1]
+    sens[:, nodes[1:], nodes[:-1]] = right * rows[1:]
     return sens
 
 
@@ -216,20 +224,15 @@ def full_residual(lam: float, u: AgeSpaceField, spec: ModelSpec, g: Grid) -> Age
     """Full-grid residual of the fixed-coefficient reformulation.
 
     Moves the quasilinear part to the right-hand side and solves with the
-    zero-density operator; used only as an independent oracle for
-    :func:`reduced_residual`.
+    zero-density operator, each assembled once for all ages by
+    :func:`assemble_elliptic`; an independent oracle for :func:`reduced_residual`.
     """
     u = check_age_space(u, g, "field")
     U = total_population(u, g)
     zero = np.zeros(g.n_x)
-    src = np.empty_like(u)
-    for k in range(g.n_a + 1):
-        age = g.a_nodes[k]
-        op_zero = assemble_elliptic(zero, age, spec, g)
-        op_frozen = assemble_elliptic(U, age, spec, g)
-        src[k] = op_zero.apply(u[k]) - op_frozen.apply(u[k])
-    newborn = birth_functional(U, u, lam, spec, g)
-    return u - evolve(zero, newborn, spec, g, source=src)
+    src = (assemble_elliptic(zero, g.a_nodes, spec, g).apply(u)
+           - assemble_elliptic(U, g.a_nodes, spec, g).apply(u))
+    return u - evolve(zero, birth_functional(U, u, lam, spec, g), spec, g, source=src)
 
 
 def jacobian(lam: float, v: SpatialField, spec: ModelSpec, g: Grid) -> DenseOperator:

@@ -73,6 +73,31 @@ def test_assembly_rejects_age_outside_interval(constant_spec, constant_grid):
         assemble_elliptic(np.zeros(constant_grid.n_x), 2.0, constant_spec, constant_grid)
 
 
+def test_assembly_at_all_ages_stacks_per_age_assemblies(rng):
+    # state-dependent diffusivity and an age-dependent death rate
+    spec = ModelSpec(d=lambda z: 1.0 + 0.5 * z, mu=lambda z, a: (1.0 + a) * (1.0 + z**2),
+                     b=lambda z, a: np.ones_like(z), d_lower=0.5, n_x=11, n_a=9)
+    g = build_grid(spec)
+    U = rng.random(g.n_x)
+    w = rng.random((g.n_a + 1, g.n_x))
+    op = assemble_elliptic(U, g.a_nodes, spec, g)
+    assert op.diag.shape == (g.n_a + 1, g.n_x)
+    applied = op.apply(w)
+    for k, age in enumerate(g.a_nodes):
+        single = assemble_elliptic(U, age, spec, g)
+        assert np.array_equal(op.diag[k], single.diag)
+        assert np.array_equal(op.lower, single.lower)
+        assert np.array_equal(op.upper, single.upper)
+        assert np.array_equal(applied[k], single.apply(w[k]))
+
+
+def test_assembly_names_the_first_age_outside_interval(constant_spec, constant_grid):
+    ages = constant_grid.a_nodes.copy()
+    ages[7] = 1.5 * constant_spec.a_max
+    with pytest.raises(ValueError, match=rf"^age {ages[7]} outside \[0, "):
+        assemble_elliptic(np.zeros(constant_grid.n_x), ages, constant_spec, constant_grid)
+
+
 # -- age march ---------------------------------------------------------------
 
 def test_evolve_matches_scalar_recurrence(constant_spec, constant_grid):

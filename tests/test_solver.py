@@ -22,7 +22,7 @@ from agebranch import (
     weighted_inner,
 )
 from agebranch.errors import SingularSystemError, StepFailureError
-from agebranch.operators import birth_functional, divergence_form, evolve
+from agebranch.operators import assemble_elliptic, birth_functional, divergence_form, evolve
 from agebranch.oracles import (
     equilibrium_intensity,
     homogeneous_profile,
@@ -151,6 +151,63 @@ def test_both_characterizations_agree_on_the_branch(logistic, logistic_branch):
     for pt in logistic_branch.points:
         F = full_residual(pt.lam, pt.u, spec, g)
         assert field_norm(F, g) <= 10.0 * spec.newton_tol
+
+
+def _per_age_full_residual(lam, u, spec, g):
+    """The oracle as a loop over the age nodes, both operators assembled per age."""
+    U = total_population(u, g)
+    zero = np.zeros(g.n_x)
+    src = np.empty_like(u)
+    for k, age in enumerate(g.a_nodes):
+        src[k] = (assemble_elliptic(zero, age, spec, g).apply(u[k])
+                  - assemble_elliptic(U, age, spec, g).apply(u[k]))
+    newborn = birth_functional(U, u, lam, spec, g)
+    return u - evolve(zero, newborn, spec, g, source=src)
+
+
+def _age_dependent_model(n_a=20, mu=lambda z, a: (1.0 + a) * (1.0 + z**2)):
+    return ModelSpec(d=lambda z: 1.0 + 0.5 * z, mu=mu, b=lambda z, a: np.exp(-a) / (1.0 + z),
+                     d_lower=0.5, n_x=9, n_a=n_a)
+
+
+@pytest.mark.parametrize("family", ["constant", "logistic_death", "density_diffusion",
+                                    "custom"])
+def test_full_residual_matches_per_age_loop(family, rng):
+    spec = (_age_dependent_model() if family == "custom"
+            else make_spec(family, n_x=9, n_a=20))
+    g = build_grid(spec)
+    u = rng.random((g.n_a + 1, g.n_x))
+    F = full_residual(1.3, u, spec, g)
+    loop = _per_age_full_residual(1.3, u, spec, g)
+    if family == "custom":
+        assert np.allclose(F, loop, rtol=1e-14, atol=0.0)
+    else:
+        assert np.array_equal(F, loop)
+
+
+def test_full_residual_is_two_assemblies_at_any_age_count(monkeypatch, rng):
+    import agebranch.solver as solver_module
+
+    assemblies, mu_calls, per_size = [], [], []
+
+    def counted_assembly(*args):
+        assemblies.append(np.shape(args[1]))
+        return assemble_elliptic(*args)
+
+    def counted_mu(z, a):
+        mu_calls.append(np.shape(a))
+        return (1.0 + a) * (1.0 + z**2)
+
+    monkeypatch.setattr(solver_module, "assemble_elliptic", counted_assembly)
+    for n_a in (10, 40):
+        spec = _age_dependent_model(n_a, mu=counted_mu)
+        g = build_grid(spec)
+        assemblies.clear()
+        mu_calls.clear()
+        full_residual(1.3, rng.random((g.n_a + 1, g.n_x)), spec, g)
+        assert assemblies == [(g.n_a + 1,)] * 2
+        per_size.append(len(mu_calls))
+    assert per_size[0] == per_size[1]
 
 
 # -- jacobian -------------------------------------------------------------------
