@@ -244,10 +244,10 @@ def next_generation_operator(u: AgeSpaceField, spec: ModelSpec, g: Grid) -> Dens
     """
     u = check_age_space(u, g, "frozen field")
     U = total_population(u, g)
-    b_rows = spec.rate_table("b", U, g.a_nodes)
+    wb = g.w_a[:, None] * spec.rate_table("b", U, g.a_nodes)
     eye = np.eye(g.n_x)
     width = max(1, _STACK_BYTES // ((g.n_a + 1) * g.n_x * eye.itemsize))
     return np.hstack([
-        np.einsum("k,kn,knj->nj", g.w_a, b_rows, evolve(U, eye[:, j:j + width], spec, g))
+        np.einsum("kn,knj->nj", wb, evolve(U, eye[:, j:j + width], spec, g))
         for j in range(0, g.n_x, width)
     ])

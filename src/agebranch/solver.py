@@ -164,13 +164,13 @@ def _residual_jacobian(lam: float, U: SpatialField, u: AgeSpaceField,
     n = g.n_x
     du_dv = evolve(U, np.eye(n), spec, g)
     du_dU = _field_tangent(U, u, spec, g)
-    b_rows = spec.rate_table("b", U, g.a_nodes)
+    wb = g.w_a[:, None] * spec.rate_table("b", U, g.a_nodes)
     bz_rows = spec.rate_table("b_z", U, g.a_nodes)
     J = np.zeros((2 * n, 2 * n + 1))
-    J[:n, :n] = np.eye(n) - lam * np.einsum("k,kn,knj->nj", g.w_a, b_rows, du_dv)
-    J[:n, n:2 * n] = -lam * (np.einsum("k,kn,knj->nj", g.w_a, b_rows, du_dU)
+    J[:n, :n] = np.eye(n) - lam * np.einsum("kn,knj->nj", wb, du_dv)
+    J[:n, n:2 * n] = -lam * (np.einsum("kn,knj->nj", wb, du_dU)
                              + np.diag(np.einsum("k,kn,kn->n", g.w_a, bz_rows, u)))
-    J[:n, 2 * n] = -np.einsum("k,kn,kn->n", g.w_a, b_rows, u)
+    J[:n, 2 * n] = -np.einsum("kn,kn->n", wb, u)
     J[n:, :n] = -np.einsum("k,kij->ij", g.w_a, du_dv)
     J[n:, n:2 * n] = np.eye(n) - np.einsum("k,kij->ij", g.w_a, du_dU)
     return J
@@ -264,7 +264,9 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
     ``E(U)`` the age march frozen at ``U`` and ``U`` starting from the given
     guess (zero by default).  Newton on the bordered system of size
     ``2 n_x + 1``; converged when both residual norms, the constraint defect
-    and the last ``(v, lam)`` step norm are at or below ``newton_tol``.  From
+    and the last ``(v, lam)`` step norm are at or below ``newton_tol``.  An
+    iterate whose residuals already meet ``newton_tol`` takes its certifying
+    step with the bordered matrix already assembled, without a new Jacobian.  From
     the trivial branch with a pure amplitude constraint the bordered matrix is
     singular (the intensity column vanishes at ``v = 0``), which raises
     :class:`SingularSystemError`; linear models have no nontrivial solutions
@@ -283,24 +285,28 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
         R_U = U - g.w_a @ u
         rnorm = trace_norm(R_v, g)
         cres = constraint(lam, v) - target
-        if (rnorm <= spec.newton_tol
-                and trace_norm(R_U, g) <= spec.newton_tol
-                and abs(cres) <= spec.newton_tol * (1.0 + abs(target))
-                and last_step <= spec.newton_tol):
+        converged = (rnorm <= spec.newton_tol
+                     and trace_norm(R_U, g) <= spec.newton_tol
+                     and abs(cres) <= spec.newton_tol * (1.0 + abs(target)))
+        if converged and last_step <= spec.newton_tol:
             return _finish_point(lam, v, u, rnorm, newton_iters, spec, g)
 
-        # unknowns ordered (v, U, lam); the constraint sees (v, lam) only
-        bordered = np.vstack([
-            _residual_jacobian(lam, U, u, spec, g),
-            np.concatenate([constraint.coeff_v, np.zeros(n), [constraint.coeff_lambda]]),
-        ])
-        cond = float(np.linalg.cond(bordered))
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SingularSystemError(
-                f"bordered corrector system is singular (condition ~{cond:.3e}); "
-                "fold point or defective constraint",
-                condition_estimate=cond,
-            )
+        # a converged point only needs its certifying step: the chord step on
+        # the last bordered matrix, one iterate back, matches Newton's to far
+        # below round-off of v
+        if not converged:
+            # unknowns ordered (v, U, lam); the constraint sees (v, lam) only
+            bordered = np.vstack([
+                _residual_jacobian(lam, U, u, spec, g),
+                np.concatenate([constraint.coeff_v, np.zeros(n), [constraint.coeff_lambda]]),
+            ])
+            cond = float(np.linalg.cond(bordered))
+            if not np.isfinite(cond) or cond > _COND_LIMIT:
+                raise SingularSystemError(
+                    f"bordered corrector system is singular (condition ~{cond:.3e}); "
+                    "fold point or defective constraint",
+                    condition_estimate=cond,
+                )
         step = np.linalg.solve(bordered, -np.concatenate([R_v, R_U, [cres]]))
         v = v + step[:n]
         U = U + step[n:2 * n]
@@ -356,8 +362,12 @@ def continue_branch(spec: ModelSpec, g: Grid,
     The first point is corrected from the tangent predictor along the
     dominant eigenvector with its amplitude pinned against the left
     eigenvector; subsequent points use a secant tangent predictor with an
-    arclength normalization constraint and an adaptive step.  Never raises:
-    the stop reason is recorded on the returned branch.
+    arclength normalization constraint and an adaptive step.  Before the
+    first correction it raises the errors of :func:`bifurcation_point` (for
+    the critical eigenpair) and :class:`ValueError` when the simplicity
+    certificate fails.  A corrector that stalls or meets a singular bordered
+    system never raises: the step is halved, and the stop reason is recorded
+    on the returned branch.
     """
     p = params if params is not None else ContinuationParams.from_spec(spec)
     bif = bifurcation_point(spec, g)

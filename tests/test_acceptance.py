@@ -216,3 +216,11 @@ def test_criterion_10_determinism(branch_run, tmp_path_factory):
     first = (out1 / "branch.csv").read_bytes()
     second = (out2 / "branch.csv").read_bytes()
     report(10, first == second, f"branch CSV byte-identical ({len(first)} bytes)")
+
+
+def test_shipped_branch_keeps_its_points_and_newton_iterations(branch_points):
+    # pins the corrector's point sequence: 25 points, three Newton iterations each
+    _, points = branch_points
+    iters = [pt.diagnostics.newton_iters for pt in points]
+    assert len(points) == 25
+    assert iters == [3] * 25

@@ -379,6 +379,50 @@ def test_exhausted_iteration_budget_raises_step_failure():
     assert err.value.residual_norm >= 0.0
 
 
+def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_branch,
+                                                             monkeypatch):
+    # secant predictor through two branch points, as in continue_branch
+    import agebranch.solver as solver_module
+    from agebranch.model import trace_norm
+
+    spec, g = logistic
+    n = g.n_x
+    prev, current = logistic_branch.points[1:3]
+    U_prev, U_cur = total_population(prev.u, g), total_population(current.u, g)
+    dlam, dv = current.lam - prev.lam, current.v - prev.v
+    scale = np.hypot(dlam, trace_norm(dv, g))
+    tau_lam, tau_v, tau_U = dlam / scale, dv / scale, (U_cur - U_prev) / scale
+    ds = 0.1
+    constraint = AffineConstraint(tau_lam, g.dx * tau_v)
+    lam_pred, v_pred = current.lam + ds * tau_lam, current.v + ds * tau_v
+    target = constraint(lam_pred, v_pred)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _residual_jacobian(*args)
+
+    monkeypatch.setattr(solver_module, "_residual_jacobian", counted)
+    pt = newton_correct(lam_pred, v_pred, constraint, target, spec, g, U=U_cur + ds * tau_U)
+    iters = pt.diagnostics.newton_iters
+    assert iters >= 2
+    # every iteration but the certifying one assembles a Jacobian
+    assert len(calls) == iters - 1
+
+    # a fresh exact Newton step at the returned point certifies it too
+    U = total_population(pt.u, g)
+    u = evolve(U, pt.v, spec, g)
+    bordered = np.vstack([
+        _residual_jacobian(pt.lam, U, u, spec, g),
+        np.concatenate([constraint.coeff_v, np.zeros(n), [constraint.coeff_lambda]]),
+    ])
+    rhs = np.concatenate([pt.v - birth_functional(U, u, pt.lam, spec, g),
+                          U - total_population(u, g), [constraint(pt.lam, pt.v) - target]])
+    step = np.linalg.solve(bordered, -rhs)
+    assert np.hypot(trace_norm(step[:n], g), step[2 * n]) <= spec.newton_tol
+
+
 # -- continuation ----------------------------------------------------------------
 
 def test_linear_branch_is_vertical(constant_spec, constant_grid):
