@@ -142,9 +142,10 @@ def _age_systems(U_rows: np.ndarray, spec: ModelSpec, g: Grid):
     return sub, diag, sup
 
 
-def _solve_age_step(sub, diag, sup, rhs) -> np.ndarray:
-    """One LAPACK ``dgtsv`` solve of a (block-)tridiagonal age step."""
-    _, _, _, w, info = dgtsv(sub, diag, sup, rhs)
+def _solve_age_step(sub, diag, sup, rhs, overwrite: bool = False) -> np.ndarray:
+    """One LAPACK ``dgtsv`` solve of a (block-)tridiagonal age step; with
+    ``overwrite`` a Fortran-ordered ``rhs`` is solved in place."""
+    _, _, _, w, info = dgtsv(sub, diag, sup, rhs, overwrite_b=overwrite)
     if info != 0:
         raise ArithmeticError(f"implicit age step is singular (dgtsv info {info})")
     return w
@@ -159,7 +160,8 @@ def _check_finite(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def evolve(U, w0, spec: ModelSpec, g: Grid, source: np.ndarray | None = None) -> np.ndarray:
+def evolve(U, w0, spec: ModelSpec, g: Grid,
+           source: np.ndarray | tuple | None = None) -> np.ndarray:
     """March the linear age problem from trace ``w0`` by implicit Euler.
 
     Solves ``d_age w + A(U, age) w = source`` with ``w(0) = w0``, where the
@@ -169,7 +171,7 @@ def evolve(U, w0, spec: ModelSpec, g: Grid, source: np.ndarray | None = None) ->
     trace gives the general inhomogeneous solve.
 
     The input shapes choose the case.  The result has the age axis first and
-    ``source``, when given, has the shape of the result:
+    ``source``, when given as an array, has the shape of the result:
 
     * ``U`` (n_x,), ``w0`` (n_x,): one trace; result (n_a + 1, n_x);
     * ``U`` (n_x,), ``w0`` (n_x, m): m columns under the shared ``U``, one
@@ -177,6 +179,15 @@ def evolve(U, w0, spec: ModelSpec, g: Grid, source: np.ndarray | None = None) ->
     * ``U`` (m, n_x), ``w0`` (m, n_x): row ``i`` marched under its own
       ``U[i]``, all rows in one block-diagonal solve per age step; result
       (n_a + 1, m, n_x).
+
+    With ``n_x`` columns under a shared ``U``, ``source`` may instead be the
+    diagonals ``(lower, diag, upper)``, of shapes (n_a + 1, n_x - 1),
+    (n_a + 1, n_x) and (n_a + 1, n_x - 1), of one tridiagonal matrix per age
+    whose column ``j`` is the source of column ``j``: entry ``[j + 1, j]`` of
+    the matrix at age ``k`` is ``lower[k, j]`` and entry ``[j, j + 1]`` is
+    ``upper[k, j]``.  The three diagonals are added in place to the
+    column-major march state before each age step, which is then solved in
+    place; no dense source is formed.
     """
     U = np.asarray(U, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -189,7 +200,18 @@ def evolve(U, w0, spec: ModelSpec, g: Grid, source: np.ndarray | None = None) ->
     out_shape = (g.n_a + 1,) + w0.shape
     w = w0.ravel() if U.ndim == 2 else w0
     out = np.empty((g.n_a + 1,) + w.shape)
-    if source is not None:
+    banded = isinstance(source, tuple)
+    if banded:
+        n = g.n_x
+        if U.ndim != 1 or w0.shape != (n, n):
+            raise ValueError(f"a banded source marches {n} columns under one population, "
+                             f"not initial traces of shape {w0.shape} under {U.shape}")
+        # scaled once by da; entries [1::n+1], [::n+1] and [n::n+1] of the
+        # flattened column-major state are the sub-, main and superdiagonal
+        bands = [g.da * check_shape(band, (g.n_a + 1, n - off), f"source {name}")
+                 for band, name, off in zip(source, ("lower", "diag", "upper"), (1, 0, 1))]
+        w = np.array(w0, order="F")
+    elif source is not None:
         source = check_shape(source, out_shape, "source").reshape(out.shape)
 
     sub, diag, sup = _age_systems(U.reshape(-1, g.n_x), spec, g)
@@ -197,8 +219,14 @@ def evolve(U, w0, spec: ModelSpec, g: Grid, source: np.ndarray | None = None) ->
     diag = diag.reshape(g.n_a + 1, -1)
     out[0] = w
     for k in range(1, g.n_a + 1):
-        rhs = w if source is None else w + g.da * source[k]
-        w = _solve_age_step(sub, diag[k], sup, rhs)
+        rhs = w
+        if banded:
+            flat = w.reshape(-1, order="F")
+            for start, band in zip((1, 0, n), bands):
+                flat[start::n + 1] += band[k]
+        elif source is not None:
+            rhs = w + g.da * source[k]
+        w = _solve_age_step(sub, diag[k], sup, rhs, overwrite=banded)
         out[k] = w
     return _check_finite(out).reshape(out_shape)
 

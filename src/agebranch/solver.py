@@ -105,8 +105,6 @@ class ContinuationParams:
     pos_tol: float
     # when set, replaces lambda_max by this multiple of the critical intensity
     lambda_max_factor: float | None = None
-    arc_weight_lambda: float = 1.0
-    arc_weight_v: float = 1.0
 
     @classmethod
     def from_spec(cls, spec: ModelSpec, **overrides) -> "ContinuationParams":
@@ -126,33 +124,22 @@ class ContinuationParams:
 
 # -- residual blocks --------------------------------------------------------
 
-def _population_sensitivity(u: AgeSpaceField, d_prime: np.ndarray, mu_z: np.ndarray,
-                            g: Grid) -> np.ndarray:
-    """Operator sensitivity applied to ``u`` for each unit population
-    perturbation ``e_i``: entry ``[k, :, i]`` is
-    ``divergence_form(d_prime * e_i, u[k]) + mu_z[k] * e_i * u[k]``, written
-    on rows ``i - 1, i, i + 1`` from the fluxes through the faces of node ``i``."""
+def _tangent_source(U: SpatialField, u: AgeSpaceField, spec: ModelSpec,
+                    g: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source of ``du/dU`` at fixed ``v`` as the banded ``source`` of
+    :func:`evolve`: column ``i`` of the tridiagonal matrix at age ``k`` is
+    ``-(dA/dU_i) u[k]``, the divergence-form term ``-(d' e_i u_x)_x`` on rows
+    ``i - 1, i, i + 1`` from the fluxes through the faces of node ``i`` plus
+    ``-mu_z e_i u`` on the diagonal.  Returns ``(lower, diag, upper)``."""
+    d_prime = spec.eval_d_prime(U)
     du = u[:, 1:] - u[:, :-1]
     left = 0.5 * d_prime[1:] * du    # face left of node i = 1..n_x-1
     right = 0.5 * d_prime[:-1] * du  # face right of node i = 0..n_x-2
     rows = np.full(g.n_x, 1.0 / g.dx**2)
     rows[[0, -1]] *= 2.0  # Neumann closure doubles the boundary rows
-    nodes = np.arange(g.n_x)
-    sens = np.zeros((g.n_a + 1, g.n_x, g.n_x))
-    sens[:, nodes, nodes] = (np.pad(left, ((0, 0), (1, 0)))
-                             - np.pad(right, ((0, 0), (0, 1)))) * rows + mu_z * u
-    sens[:, nodes[:-1], nodes[1:]] = -left * rows[:-1]
-    sens[:, nodes[1:], nodes[:-1]] = right * rows[1:]
-    return sens
-
-
-def _field_tangent(U: SpatialField, u: AgeSpaceField, spec: ModelSpec,
-                   g: Grid) -> np.ndarray:
-    """``du/dU`` of ``u = E(U) v`` at fixed ``v``, shape (n_a + 1, n_x, n_x):
-    column ``i`` is the zero-trace march with source ``-(dA/dU_i) u``."""
-    sens = _population_sensitivity(u, spec.eval_d_prime(U),
-                                   spec.rate_table("mu_z", U, g.a_nodes), g)
-    return evolve(U, np.zeros((g.n_x, g.n_x)), spec, g, source=-sens)
+    diag = (np.pad(right, ((0, 0), (0, 1))) - np.pad(left, ((0, 0), (1, 0)))) * rows
+    diag -= spec.rate_table("mu_z", U, g.a_nodes) * u
+    return -right * rows[1:], diag, left * rows[:-1]
 
 
 def _residual_jacobian(lam: float, U: SpatialField, u: AgeSpaceField,
@@ -160,19 +147,23 @@ def _residual_jacobian(lam: float, U: SpatialField, u: AgeSpaceField,
     """Derivative of ``(R_v, R_U)`` in ``(v, U, lam)`` at ``u = E(U) v``,
     shape (2 n_x, 2 n_x + 1), where ``R_v = v - lam * B(U, u)`` and
     ``R_U = U - int u da``.  ``B`` depends on ``U`` through ``u`` and through
-    ``b_z``."""
+    ``b_z``.  Two marches under ``U``: ``du/dv`` from the identity and
+    ``du/dU`` from zero with the banded :func:`_tangent_source`."""
     n = g.n_x
-    du_dv = evolve(U, np.eye(n), spec, g)
-    du_dU = _field_tangent(U, u, spec, g)
     wb = g.w_a[:, None] * spec.rate_table("b", U, g.a_nodes)
-    bz_rows = spec.rate_table("b_z", U, g.a_nodes)
     J = np.zeros((2 * n, 2 * n + 1))
-    J[:n, :n] = np.eye(n) - lam * np.einsum("kn,knj->nj", wb, du_dv)
-    J[:n, n:2 * n] = -lam * (np.einsum("kn,knj->nj", wb, du_dU)
-                             + np.diag(np.einsum("k,kn,kn->n", g.w_a, bz_rows, u)))
+    # one march at a time, so that a single (n_a + 1, n_x, n_x) stack is alive
+    for cols, w0, source in ((np.s_[:n], np.eye(n), None),
+                             (np.s_[n:2 * n], np.zeros((n, n)), _tangent_source(U, u, spec, g))):
+        du = evolve(U, w0, spec, g, source=source)
+        J[:n, cols] = np.einsum("kn,knj->nj", wb, du)
+        J[n:, cols] = -np.einsum("k,kij->ij", g.w_a, du)
+        del du
+    bz_rows = spec.rate_table("b_z", U, g.a_nodes)
+    J[:n, n:2 * n][np.diag_indices(n)] += np.einsum("k,kn,kn->n", g.w_a, bz_rows, u)
+    J[:n, :2 * n] *= -lam
     J[:n, 2 * n] = -np.einsum("kn,kn->n", wb, u)
-    J[n:, :n] = -np.einsum("k,kij->ij", g.w_a, du_dv)
-    J[n:, n:2 * n] = np.eye(n) - np.einsum("k,kij->ij", g.w_a, du_dU)
+    J[np.diag_indices(2 * n)] += 1.0
     return J
 
 
@@ -194,7 +185,9 @@ def _population_newton(v: SpatialField, spec: ModelSpec, g: Grid
         rnorm = trace_norm(R_U, g)
         if rnorm <= spec.newton_tol:
             return U, u, steps
-        dRU_dU = np.eye(g.n_x) - np.einsum("k,kij->ij", g.w_a, _field_tangent(U, u, spec, g))
+        du_dU = evolve(U, np.zeros((g.n_x, g.n_x)), spec, g,
+                       source=_tangent_source(U, u, spec, g))
+        dRU_dU = np.eye(g.n_x) - np.einsum("k,kij->ij", g.w_a, du_dU)
         U = U - np.linalg.solve(dRU_dU, R_U)
     raise StepFailureError(
         f"population Newton stalled at residual {rnorm:.3e} after "
@@ -340,9 +333,8 @@ def _finish_point(lam, v, u, rnorm, newton_iters, spec, g) -> BranchPoint:
 
 # -- pseudo-arclength continuation ------------------------------------------
 
-def _combined_norm(dlam: float, dv: np.ndarray, p: ContinuationParams, g: Grid) -> float:
-    return float(np.sqrt(p.arc_weight_lambda * dlam**2
-                         + p.arc_weight_v * trace_norm(dv, g) ** 2))
+def _combined_norm(dlam: float, dv: np.ndarray, g: Grid) -> float:
+    return float(np.sqrt(dlam**2 + trace_norm(dv, g) ** 2))
 
 
 def _box_verdict(pt: BranchPoint, p: ContinuationParams) -> str | None:
@@ -405,7 +397,7 @@ def continue_branch(spec: ModelSpec, g: Grid,
     if verdict is not None:
         return make_branch([], verdict, [])
 
-    first = replace(first, arclength=_combined_norm(first.lam - lam0, first.v, p, g))
+    first = replace(first, arclength=_combined_norm(first.lam - lam0, first.v, g))
     points = [first]
     tangents: list[tuple[float, np.ndarray]] = []
     prev_lam, prev_v, prev_U = lam0, np.zeros(g.n_x), np.zeros(g.n_x)
@@ -418,7 +410,7 @@ def continue_branch(spec: ModelSpec, g: Grid,
 
         dlam = current.lam - prev_lam
         dv = current.v - prev_v
-        scale = _combined_norm(dlam, dv, p, g)
+        scale = _combined_norm(dlam, dv, g)
         tau_lam, tau_v = dlam / scale, dv / scale
         tangents.append((tau_lam, tau_v))
         # U rides along the (lam, v) secant without entering the arclength
@@ -427,10 +419,7 @@ def continue_branch(spec: ModelSpec, g: Grid,
         while True:
             lam_pred = current.lam + ds * tau_lam
             v_pred = current.v + ds * tau_v
-            constraint = AffineConstraint(
-                p.arc_weight_lambda * tau_lam,
-                p.arc_weight_v * g.dx * tau_v,
-            )
+            constraint = AffineConstraint(tau_lam, g.dx * tau_v)
             target = constraint(lam_pred, v_pred)
             try:
                 accepted = newton_correct(lam_pred, v_pred, constraint, target,
@@ -446,7 +435,7 @@ def continue_branch(spec: ModelSpec, g: Grid,
             return make_branch(points, verdict, tangents)
 
         step_len = _combined_norm(accepted.lam - current.lam,
-                                  accepted.v - current.v, p, g)
+                                  accepted.v - current.v, g)
         accepted = replace(accepted, arclength=current.arclength + step_len)
         points.append(accepted)
         if accepted.diagnostics.newton_iters <= 3:

@@ -275,6 +275,35 @@ def test_march_cases_agree(rng, logistic_spec, logistic_grid):
         assert np.allclose(rows[:, j], single, rtol=1e-13, atol=0.0)
 
 
+def test_banded_source_matches_its_dense_matrix(rng, logistic_spec, logistic_grid):
+    # column j of the tridiagonal source is the source of march column j;
+    # adding the diagonals in place does the same arithmetic as the dense add
+    g = logistic_grid
+    U = rng.random(g.n_x)
+    W = rng.random((g.n_x, g.n_x))
+    band_mask = np.abs(np.subtract.outer(np.arange(g.n_x), np.arange(g.n_x))) <= 1
+    dense = rng.standard_normal((g.n_a + 1, g.n_x, g.n_x)) * band_mask
+    bands = tuple(np.diagonal(dense, offset, 1, 2) for offset in (-1, 0, 1))
+    banded = evolve(U, W, logistic_spec, g, source=bands)
+    assert np.array_equal(banded, evolve(U, W, logistic_spec, g, source=dense))
+
+
+def test_banded_source_rejects_other_shapes(rng, logistic_spec, logistic_grid):
+    g = logistic_grid
+    n, rows = g.n_x, g.n_a + 1
+    bands = (np.zeros((rows, n - 1)), np.zeros((rows, n)), np.zeros((rows, n - 1)))
+    with pytest.raises(ValueError, match="banded source"):
+        evolve(np.zeros(n), np.zeros((n, 3)), logistic_spec, g, source=bands)
+    with pytest.raises(ValueError, match="banded source"):
+        evolve(np.zeros((n, n)), np.zeros((n, n)), logistic_spec, g, source=bands)
+    with pytest.raises(ValueError, match="source upper"):
+        evolve(np.zeros(n), np.zeros((n, n)), logistic_spec, g,
+               source=bands[:2] + (np.zeros((rows, n)),))
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve(np.zeros(n), np.zeros((n, n)), logistic_spec, g,
+               source=(bands[0], np.full((rows, n), np.nan), bands[2]))
+
+
 def test_negative_death_rate_names_the_age(logistic_grid):
     g = logistic_grid
     bad_age = g.a_nodes[17]

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from agebranch.oracles import (
 from agebranch.solver import (
     BranchPoint,
     _population_newton,
-    _population_sensitivity,
     _residual_jacobian,
+    _tangent_source,
 )
 from agebranch.spectral import bifurcation_point
 
@@ -277,15 +278,20 @@ def test_jacobian_without_birth_is_identity(constant_spec, constant_grid, rng):
     assert np.max(np.abs(J - np.eye(g.n_x))) <= 1e-9
 
 
-@pytest.mark.parametrize("model", ["logistic", "density_diffusion", "fold"])
-def test_corrector_blocks_match_fd_at_interior_point(model, rng):
-    # density_diffusion carries the d' term, the fold model the b_z term
-    spec = {
+def interior_model(model):
+    """The models of the interior-point checks: density_diffusion carries the
+    d' term, the fold model the b_z term."""
+    return {
         "logistic": lambda: make_spec("logistic_death", n_x=10, n_a=30),
         "density_diffusion": lambda: make_spec(
             "density_diffusion", {"d1": 0.7, "kappa": 0.5}, n_x=10, n_a=30),
         "fold": fold_model,
     }[model]()
+
+
+@pytest.mark.parametrize("model", ["logistic", "density_diffusion", "fold"])
+def test_corrector_blocks_match_fd_at_interior_point(model, rng):
+    spec = interior_model(model)
     g = build_grid(spec)
     v = 0.4 + 0.1 * rng.random(g.n_x)
     U = 0.3 + 0.1 * rng.random(g.n_x)
@@ -308,19 +314,87 @@ def test_corrector_blocks_match_fd_along_branch(logistic, logistic_branch):
         assert_blocks_match_fd(pt.lam, pt.v, total_population(pt.u, g), spec, g)
 
 
+def dense_sensitivity(u, d_prime, mu_z, g):
+    """Operator sensitivity applied to ``u`` for each unit population
+    perturbation, one column at a time: entry ``[k, :, i]`` is
+    ``divergence_form(d_prime * e_i, u[k]) + mu_z[k] * e_i * u[k]``."""
+    sens = np.empty((g.n_a + 1, g.n_x, g.n_x))
+    for i in range(g.n_x):
+        p = np.zeros(g.n_x)
+        p[i] = 1.0
+        for k in range(g.n_a + 1):
+            sens[k, :, i] = divergence_form(d_prime * p, u[k], g) + mu_z[k] * p * u[k]
+    return sens
+
+
+def densify(lower, diag, upper):
+    """Stack of tridiagonal matrices from their diagonals, ages first."""
+    nodes = np.arange(diag.shape[-1])
+    dense = np.zeros(diag.shape + nodes.shape)
+    dense[:, nodes, nodes] = diag
+    dense[:, nodes[1:], nodes[:-1]] = lower
+    dense[:, nodes[:-1], nodes[1:]] = upper
+    return dense
+
+
 def test_sensitivity_assembly_matches_column_loop(rng):
     spec = make_spec("density_diffusion", {"d1": 0.7, "kappa": 0.5}, n_x=9, n_a=12)
     g = build_grid(spec)
     u = rng.random((g.n_a + 1, g.n_x))
     d_prime, mu_z = rng.standard_normal(g.n_x), rng.random((g.n_a + 1, g.n_x))
-    loop = np.empty((g.n_a + 1, g.n_x, g.n_x))
-    for i in range(g.n_x):
-        p = np.zeros(g.n_x)
-        p[i] = 1.0
-        for k in range(g.n_a + 1):
-            loop[k, :, i] = divergence_form(d_prime * p, u[k], g) + mu_z[k] * p * u[k]
-    assert np.allclose(_population_sensitivity(u, d_prime, mu_z, g), loop,
+    spec = replace(spec, d_prime=lambda z: d_prime, mu_z=lambda z, a: mu_z)
+    bands = _tangent_source(rng.random(g.n_x), u, spec, g)
+    assert np.allclose(-densify(*bands), dense_sensitivity(u, d_prime, mu_z, g),
                        rtol=1e-13, atol=0.0)
+
+
+def reference_residual_jacobian(lam, U, u, spec, g):
+    """The corrector blocks from two marches under ``U``: ``du/dv`` from the
+    identity, ``du/dU`` from zero with the dense column-loop sensitivity as
+    its source."""
+    n = g.n_x
+    du_dv = evolve(U, np.eye(n), spec, g)
+    sens = dense_sensitivity(u, spec.eval_d_prime(U), spec.rate_table("mu_z", U, g.a_nodes), g)
+    du_dU = evolve(U, np.zeros((n, n)), spec, g, source=-sens)
+    wb = g.w_a[:, None] * spec.rate_table("b", U, g.a_nodes)
+    bz_rows = spec.rate_table("b_z", U, g.a_nodes)
+    J = np.zeros((2 * n, 2 * n + 1))
+    J[:n, :n] = np.eye(n) - lam * np.einsum("kn,knj->nj", wb, du_dv)
+    J[:n, n:2 * n] = -lam * (np.einsum("kn,knj->nj", wb, du_dU)
+                             + np.diag(np.einsum("k,kn,kn->n", g.w_a, bz_rows, u)))
+    J[:n, 2 * n] = -np.einsum("kn,kn->n", wb, u)
+    J[n:, :n] = -np.einsum("k,kij->ij", g.w_a, du_dv)
+    J[n:, n:2 * n] = np.eye(n) - np.einsum("k,kij->ij", g.w_a, du_dU)
+    return J
+
+
+@pytest.mark.parametrize("model", ["logistic", "density_diffusion", "fold"])
+def test_residual_jacobian_matches_dense_source_reference(model, rng, monkeypatch):
+    import agebranch.solver as solver_module
+
+    spec = replace(interior_model(model), n_x=10, n_a=30)
+    g = build_grid(spec)
+    n = g.n_x
+    v = 0.4 + 0.1 * rng.random(n)
+    U = 0.3 + 0.1 * rng.random(n)
+    u = evolve(U, v, spec, g)
+    J_ref = reference_residual_jacobian(2.0, U, u, spec, g)
+
+    marches = []
+
+    def counted(*args, **kwargs):
+        marches.append(args[1])
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "evolve", counted)
+    J = _residual_jacobian(2.0, U, u, spec, g)
+    assert len(marches) <= 2
+    scale = np.max(np.abs(J_ref))
+    assert np.max(np.abs(J - J_ref)) <= 1e-13 * scale
+    # the population columns at the two boundary nodes, whose Neumann rows
+    # are doubled
+    for col in (n, 2 * n - 1):
+        assert np.max(np.abs(J[:, col] - J_ref[:, col])) <= 1e-13 * scale, col
 
 
 def test_rank_deficiency_at_bifurcation(logistic):
