@@ -136,19 +136,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def load_config(path) -> dict:
-    """Read and schema-validate a run configuration; unknown keys rejected."""
-    path = Path(path)
+def _read_text(path: Path, what: str) -> str:
+    """Text of an input file; a missing or unreadable one is a ConfigError."""
     try:
-        text = path.read_text()
+        return path.read_text()
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+        raise ConfigError(f"{path}: cannot read {what}: {exc}") from exc
+
+
+def _read_json(path: Path, what: str):
+    """Parsed JSON input file; unreadable or invalid JSON is a ConfigError."""
+    text = _read_text(path, what)
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+
+
+def load_config(path) -> dict:
+    """Read and schema-validate a run configuration; unknown keys rejected."""
+    path = Path(path)
+    cfg = _read_json(path, "config")
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
         where = "/".join(str(part) for part in error.absolute_path) or "<root>"
@@ -224,10 +234,11 @@ def write_branch_outputs(branch: Branch, out_dir, cfg: dict, seed: int) -> Path:
 
 
 def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
-    """Load branch_meta.json, the CSV rows and the point snapshots."""
+    """Load branch_meta.json, the CSV rows and the point snapshots; a missing
+    or invalid file is a ConfigError naming its path."""
     out = Path(out_dir)
-    meta = json.loads((out / "branch_meta.json").read_text())
-    csv_lines = (out / "branch.csv").read_text().strip().splitlines()
+    meta = _read_json(out / "branch_meta.json", "branch metadata")
+    csv_lines = _read_text(out / "branch.csv", "branch CSV").strip().splitlines()
     if csv_lines[0] != ",".join(BRANCH_CSV_COLUMNS):
         raise ValueError(f"unexpected branch CSV header: {csv_lines[0]!r}")
     rows = []
@@ -240,7 +251,7 @@ def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
     snapshots = []
     for row in rows:
         snap_path = out / "snapshots" / f"point_{row['index']:05d}.json"
-        snapshots.append(json.loads(snap_path.read_text()))
+        snapshots.append(_read_json(snap_path, "snapshot"))
     return meta, rows, snapshots
 
 
@@ -381,20 +392,19 @@ def _cmd_simulate(args) -> int:
     spec = spec_from_config(cfg, args.resolution_scale)
     g = build_grid(spec)
 
-    if args.snapshot is not None:
-        snap = json.loads(Path(args.snapshot).read_text())
-        u0 = np.asarray(snap["u"], dtype=float)
-        lam = float(snap["lambda"]) if args.lam is None else args.lam
-    elif args.field is not None:
-        payload = json.loads(Path(args.field).read_text())
-        u0 = np.asarray(payload["u"], dtype=float)
-        lam = payload.get("lambda") if args.lam is None else args.lam
-        if lam is None:
-            raise ConfigError("simulate needs an intensity: --lam or a "
-                              "'lambda' entry in the field file")
-        lam = float(lam)
-    else:
+    path = args.snapshot if args.snapshot is not None else args.field
+    if path is None:
         raise ConfigError("simulate needs --snapshot or --field")
+    path = Path(path)
+    payload = _read_json(path, "simulate input")
+    if not isinstance(payload, dict) or "u" not in payload:
+        raise ConfigError(f"{path}: no 'u' entry with the age-space field")
+    u0 = np.asarray(payload["u"], dtype=float)
+    lam = payload.get("lambda") if args.lam is None else args.lam
+    if lam is None:
+        raise ConfigError(f"{path}: simulate needs an intensity: --lam or a "
+                          "'lambda' entry in the file")
+    lam = float(lam)
 
     start_norm = field_norm(u0, g)
     state = simulate_transient(u0, lam, args.steps, spec, g)

@@ -127,9 +127,10 @@ class ModelSpec:
     def eval_d(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         values = _broadcast(self.d(z), z)
-        if not np.all(np.isfinite(values)):
-            raise CoefficientBoundError("d(z) evaluated to a non-finite value")
-        if np.any(values < self.d_lower):
+        # two reductions pass valid values: NaN fails the first test, inf the second
+        if values.size and not (values.min() >= self.d_lower and values.max() < np.inf):
+            if not np.all(np.isfinite(values)):
+                raise CoefficientBoundError("d(z) evaluated to a non-finite value")
             raise CoefficientBoundError(
                 f"d(z) = {values.min():.6g} fell below the declared bound "
                 f"d_lower = {self.d_lower:.6g}"
@@ -163,8 +164,9 @@ class ModelSpec:
                 "an array that broadcasts against z") from None
         if name.endswith("_z"):
             return values
-        bad = ~(np.isfinite(values) & (values >= 0.0))
-        if bad.any():
+        # as in eval_d; the elementwise pass only names the first bad age
+        if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
+            bad = ~(np.isfinite(values) & (values >= 0.0))
             k = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
             if not np.all(np.isfinite(values[k])):
                 raise CoefficientBoundError(
@@ -262,7 +264,11 @@ def trace_norm(v: SpatialField, g: Grid) -> float:
 
 def field_norm(u: AgeSpaceField, g: Grid) -> float:
     """Max over age rows of the sqrt(dx)-scaled spatial l2 norm."""
-    return float(np.max(np.sqrt(g.dx) * np.linalg.norm(u, axis=1)))
+    # bitwise equal to max(sqrt(dx) * np.linalg.norm(u, axis=1)): the same row
+    # sums without the conj() copy, and correctly rounded sqrt and positive
+    # scaling are monotone, so they commute with the max
+    u = np.asarray(u, dtype=float)
+    return float(np.sqrt(g.dx) * np.sqrt(np.add.reduce(u * u, axis=1).max()))
 
 
 def weighted_inner(a: SpatialField, b: SpatialField, g: Grid) -> float:

@@ -8,8 +8,11 @@ preserves nonnegativity unconditionally.
 
 Every age march runs through one kernel: the shifted systems of all ages are
 tabulated once per frozen population (one coefficient bound check), and each
-age step is one LAPACK ``dgtsv`` solve, for a single trace, a block of
-columns or a stack of independent systems alike.
+age step is one LAPACK ``dptsv`` (LDL^T) solve in place, for a single trace,
+a block of columns or a stack of independent systems alike.  ``W A`` is
+symmetric, so each step ``M = I + da * A`` is solved as the SPD M-matrix
+``S = D M D^-1``, ``D = diag(1/sqrt2, 1, ..., 1, 1/sqrt2)``, on the state
+``D w`` (Golub & Van Loan, Matrix Computations, 4.3).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .model import (
     AgeSpaceField,
@@ -36,6 +39,9 @@ DenseOperator = np.ndarray
 # memory cap on the age stack of one return-map march: all columns at once on
 # the shipped grids, a few at a time on fine grids such as 128 x 1600
 _STACK_BYTES = 16 * 2**20
+
+_SQRT2 = np.sqrt(2.0)
+_RSQRT2 = 1.0 / _SQRT2
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,9 @@ class EllipticOperator:
 
 
 def _diffusion_bands(U_rows: np.ndarray, spec: ModelSpec, g: Grid):
-    """Diffusion bands for a stack of frozen populations, shape (..., n_x).
+    """Symmetric coupling and diagonal of the diffusion part for a stack of
+    frozen populations, shape (..., n_x); the coupling ``-face / dx^2`` of each
+    face sits in the first n_x - 1 columns.
 
     Face diffusivities are arithmetic means of nodal values; the ghost-node
     reflection doubles the single face at each boundary row.
@@ -84,15 +92,12 @@ def _diffusion_bands(U_rows: np.ndarray, spec: ModelSpec, g: Grid):
     face = 0.5 * (d_nodes[..., :-1] + d_nodes[..., 1:])
     inv_dx2 = 1.0 / g.dx**2
 
-    upper = -face * inv_dx2
-    lower = upper.copy()
+    coupling = -face * inv_dx2
     diag = np.empty_like(d_nodes)
     diag[..., 1:-1] = (face[..., :-1] + face[..., 1:]) * inv_dx2
     diag[..., 0] = 2.0 * face[..., 0] * inv_dx2
     diag[..., -1] = 2.0 * face[..., -1] * inv_dx2
-    upper[..., 0] *= 2.0
-    lower[..., -1] *= 2.0
-    return lower, diag, upper
+    return coupling, diag
 
 
 def assemble_elliptic(U: SpatialField, age, spec: ModelSpec, g: Grid) -> EllipticOperator:
@@ -102,7 +107,10 @@ def assemble_elliptic(U: SpatialField, age, spec: ModelSpec, g: Grid) -> Ellipti
     outside = np.extract((age < -1e-12) | (age > spec.a_max * (1.0 + 1e-12)), age)
     if outside.size:
         raise ValueError(f"age {outside[0]} outside [0, {spec.a_max}]")
-    lower, diag, upper = _diffusion_bands(U, spec, g)
+    coupling, diag = _diffusion_bands(U, spec, g)
+    upper, lower = coupling.copy(), coupling
+    upper[0] *= 2.0
+    lower[-1] *= 2.0
     mu = spec.rate_table("mu", U, np.reshape(age, -1)).reshape(np.shape(age) + U.shape)
     return EllipticOperator(lower=lower, diag=diag + mu, upper=upper)
 
@@ -123,36 +131,44 @@ def divergence_form(c_nodes: np.ndarray, w: np.ndarray, g: Grid) -> np.ndarray:
     return out
 
 
-def _age_systems(U_rows: np.ndarray, spec: ModelSpec, g: Grid):
-    """Implicit age-step systems ``I + da * A(U_i, a_k)`` for the rows of
-    ``U_rows`` (m, n_x) at every age node, as one system of m blocks with zero
-    couplings between them.  Returns the sub- and superdiagonal in block form,
-    (m, n_x) with a zero last column, and the diagonal table (n_a + 1, m, n_x),
-    with ``mu`` tabulated over all ages and bound-checked once."""
-    lower, dif_diag, upper = _diffusion_bands(U_rows, spec, g)
-    sub = np.zeros_like(dif_diag)
-    sup = np.zeros_like(dif_diag)
-    sub[:, :-1] = g.da * lower
-    sup[:, :-1] = g.da * upper
+def _age_systems(U_rows: np.ndarray, spec: ModelSpec, g: Grid, ages: np.ndarray):
+    """Symmetrized implicit age-step systems ``S = D (I + da * A(U_i, a)) D^-1``
+    for the rows of ``U_rows`` (m, n_x) at each of ``ages``, as one system of
+    m blocks with zero couplings between them.  Returns the diagonal table
+    (len(ages), m, n_x), that of ``I + da * A`` with ``mu`` tabulated and
+    bound-checked once, and the off-diagonal (m, n_x) with a zero last column:
+    ``da`` times the face coupling, times ``sqrt2`` on the two boundary faces
+    that the Neumann closure doubles."""
+    coupling, dif_diag = _diffusion_bands(U_rows, spec, g)
+    off = np.zeros_like(dif_diag)
+    np.multiply(coupling, g.da, out=off[:, :-1])
+    off[:, [0, -2]] *= _SQRT2
     # 1 + da * (d + mu), in place: the table is the largest array of a march
-    diag = spec.rate_table("mu", U_rows, g.a_nodes)
+    diag = spec.rate_table("mu", U_rows, ages)
     diag += dif_diag
     diag *= g.da
     diag += 1.0
-    return sub, diag, sup
+    return diag, off
 
 
-def _solve_age_step(sub, diag, sup, rhs, overwrite: bool = False) -> np.ndarray:
-    """One LAPACK ``dgtsv`` solve of a (block-)tridiagonal age step; with
-    ``overwrite`` a Fortran-ordered ``rhs`` is solved in place."""
-    _, _, _, w, info = dgtsv(sub, diag, sup, rhs, overwrite_b=overwrite)
+def _solve_age_step(diag, off, rhs, overwrite_off: bool = False) -> None:
+    """One LAPACK ``dptsv`` (LDL^T) solve of a symmetric (block-)tridiagonal
+    age step in place: ``rhs`` (contiguous, column-major if 2-D) becomes the
+    solution and ``diag`` its factor; ``off`` is kept unless ``overwrite_off``."""
+    info = dptsv(diag, off, rhs, overwrite_d=True, overwrite_e=overwrite_off,
+                 overwrite_b=True)[-1]
     if info != 0:
-        raise ArithmeticError(f"implicit age step is singular (dgtsv info {info})")
-    return w
+        raise ArithmeticError(f"implicit age step is not positive definite (dptsv info {info})")
+
+
+def _scale_edges(a: np.ndarray, axis: int, factor: float) -> None:
+    """Multiply the first and last node of ``a`` along its spatial ``axis`` by
+    ``factor`` in place: ``D`` or ``D^-1`` applied to a stack of fields."""
+    np.moveaxis(a, axis, -1)[..., ::a.shape[axis] - 1] *= factor
 
 
 def _check_finite(w: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ArithmeticError(
             "implicit age step produced non-finite values; the shifted "
             "operator should be an invertible M-matrix for mu >= 0"
@@ -191,62 +207,79 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
     """
     U = np.asarray(U, dtype=float)
     w0 = np.asarray(w0, dtype=float)
-    if U.ndim == 2:
+    blocks = U.ndim == 2
+    if blocks:
         U = check_shape(U, (U.shape[0], g.n_x), "total populations")
         w0 = check_shape(w0, U.shape, "initial traces")
     else:
         U = check_spatial(U, g, "total population")
         w0 = check_shape(w0, (g.n_x,) + w0.shape[1:2], "initial trace")
+    n = g.n_x
     out_shape = (g.n_a + 1,) + w0.shape
-    w = w0.ravel() if U.ndim == 2 else w0
-    out = np.empty((g.n_a + 1,) + w.shape)
+    # the march carries D w column-major, (n_x,) or (n_x, m), so that every
+    # step solves it in place; stacked rows are one flat block system
+    w = np.array(w0.T if blocks else w0, order="F")
+    _scale_edges(w, 0, _RSQRT2)
+    flat = w.reshape(-1, order="F")
+    state = flat if blocks else w
+    out = np.empty((g.n_a + 1,) + state.shape)
     banded = isinstance(source, tuple)
     if banded:
-        n = g.n_x
-        if U.ndim != 1 or w0.shape != (n, n):
+        if blocks or w0.shape != (n, n):
             raise ValueError(f"a banded source marches {n} columns under one population, "
                              f"not initial traces of shape {w0.shape} under {U.shape}")
-        # scaled once by da; entries [1::n+1], [::n+1] and [n::n+1] of the
-        # flattened column-major state are the sub-, main and superdiagonal
+        # scaled once by da and by D (rows 0 and n - 1); entries [1::n+1],
+        # [::n+1] and [n::n+1] of the flat state are the sub-, main and superdiagonal
         bands = [g.da * check_shape(band, (g.n_a + 1, n - off), f"source {name}")
                  for band, name, off in zip(source, ("lower", "diag", "upper"), (1, 0, 1))]
-        w = np.array(w0, order="F")
+        bands[0][:, -1] *= _RSQRT2
+        _scale_edges(bands[1], 1, _RSQRT2)
+        bands[2][:, 0] *= _RSQRT2
     elif source is not None:
-        source = check_shape(source, out_shape, "source").reshape(out.shape)
+        src = g.da * check_shape(source, out_shape, "source")
+        _scale_edges(src, -1 if blocks else 1, _RSQRT2)
+        src = src.reshape(out.shape)
 
-    sub, diag, sup = _age_systems(U.reshape(-1, g.n_x), spec, g)
-    sub, sup = sub.ravel()[:-1], sup.ravel()[:-1]
+    diag, off = _age_systems(U.reshape(-1, n), spec, g, g.a_nodes)
     diag = diag.reshape(g.n_a + 1, -1)
-    out[0] = w
+    off = off.ravel()[:-1]
     for k in range(1, g.n_a + 1):
-        rhs = w
         if banded:
-            flat = w.reshape(-1, order="F")
             for start, band in zip((1, 0, n), bands):
                 flat[start::n + 1] += band[k]
         elif source is not None:
-            rhs = w + g.da * source[k]
-        w = _solve_age_step(sub, diag[k], sup, rhs, overwrite=banded)
-        out[k] = w
-    return _check_finite(out).reshape(out_shape)
+            state += src[k]
+        _solve_age_step(diag[k], off, state)
+        out[k] = state
+    out = out.reshape(out_shape)
+    _scale_edges(out, -1 if blocks else 1, _SQRT2)
+    out[0] = w0
+    return _check_finite(out)
 
 
-def advance_cohorts(U: SpatialField, u: AgeSpaceField, spec: ModelSpec,
-                    g: Grid) -> np.ndarray:
+def advance_cohorts(U: SpatialField, u: AgeSpaceField, spec: ModelSpec, g: Grid,
+                    out: np.ndarray | None = None, off: np.ndarray | None = None
+                    ) -> np.ndarray:
     """One implicit age step for every cohort of ``u`` under one frozen ``U``.
 
     Row ``k - 1`` of ``u`` moves to age node ``k``, solving
     ``(I + da * A(U, a_k)) w = u[k - 1]`` for k = 1..n_a.  The n_a systems
-    differ only in their death rate and go through one block-diagonal solve;
-    returns the (n_a, n_x) rows at ages 1..n_a.
+    differ only in their death rate and go through one block ``dptsv`` solve in
+    place; returns the (n_a, n_x) rows at ages 1..n_a, written into ``out``
+    when given (C-contiguous).  ``off`` is an (n_a, n_x) scratch buffer for the
+    block off-diagonal, so that a trajectory allocates it once.  ``U`` and
+    ``u`` are used as given: a stepper validates its field once, not per step.
     """
-    U = check_spatial(U, g, "total population")
-    u = check_age_space(u, g, "age-space field")
-    sub, diag, sup = _age_systems(U[None, :], spec, g)
-    reps = (g.n_a, 1)
-    w = _solve_age_step(np.tile(sub, reps).ravel()[:-1], diag[1:].ravel(),
-                        np.tile(sup, reps).ravel()[:-1], u[:-1].ravel())
-    return _check_finite(w).reshape(g.n_a, g.n_x)
+    n = g.n_x
+    out = np.empty((g.n_a, n)) if out is None else out
+    off = np.empty((g.n_a, n)) if off is None else off
+    diag, off_U = _age_systems(U[None, :], spec, g, g.a_nodes[1:])
+    off[...] = off_U  # dptsv overwrites the buffer with its factor
+    out[...] = u[:-1]
+    out[:, ::n - 1] *= _RSQRT2
+    _solve_age_step(diag.reshape(-1), off.reshape(-1)[:-1], out.reshape(-1), overwrite_off=True)
+    out[:, ::n - 1] *= _SQRT2
+    return _check_finite(out)
 
 
 def birth_functional(V: SpatialField, u: AgeSpaceField, lam: float,

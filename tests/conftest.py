@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from agebranch import build_grid, make_spec
+from agebranch.model import ModelSpec
 
 
 @pytest.fixture
@@ -28,3 +29,19 @@ def logistic_grid(logistic_spec):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(params=["logistic_death", "density_diffusion", "age_dependent"])
+def model_at(request):
+    """``model_at(n_x, n_a)`` builds one of three models: constant ``d``,
+    state-dependent ``d``, or state-dependent ``d`` with age-dependent ``mu``
+    and ``b`` (the ``_age_dependent_model`` of the solver tests)."""
+    def build(n_x, n_a):
+        if request.param == "age_dependent":
+            return ModelSpec(d=lambda z: 1.0 + 0.5 * z,
+                             mu=lambda z, a: (1.0 + a) * (1.0 + z**2),
+                             b=lambda z, a: np.exp(-a) / (1.0 + z),
+                             d_lower=0.5, n_x=n_x, n_a=n_a)
+        return make_spec(request.param, n_x=n_x, n_a=n_a)
+
+    return build

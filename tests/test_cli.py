@@ -227,6 +227,43 @@ def test_simulate_requires_an_input(tmp_path):
                         "--out", str(tmp_path / "x")]) == 4
 
 
+@pytest.mark.parametrize("missing", ["branch_meta.json", "branch.csv",
+                                     "snapshots/point_00001.json"])
+def test_verify_names_a_missing_output_file(small_run, tmp_path, capsys, missing):
+    cfg_path, out, _ = small_run
+    copy = tmp_path / "copy"
+    (copy / "snapshots").mkdir(parents=True)
+    for item in [*out.iterdir(), *(out / "snapshots").iterdir()]:
+        if item.is_file():
+            (copy / item.relative_to(out)).write_bytes(item.read_bytes())
+    (copy / missing).unlink()
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
+    assert f"config error: {copy / missing}: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,content", [("--snapshot", None), ("--field", None),
+                                          ("--snapshot", "{"), ("--field", '{"u": [1,')])
+def test_simulate_names_a_missing_or_invalid_input(tmp_path, capsys, flag, content):
+    cfg_path = write_cfg(tmp_path, SMALL_LOGISTIC)
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
+                        flag, str(path), "--lam", "1.0"]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert ("cannot read" if content is None else "invalid JSON") in err
+
+
+def test_simulate_names_a_field_file_without_u(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, SMALL_LOGISTIC)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"lambda": 1.0}))
+    assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
+                        "--field", str(path)]) == 4
+    assert f"{path}: no 'u' entry" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, SMALL_LOGISTIC)
     out = tmp_path / "oracle"

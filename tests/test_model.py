@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from agebranch import build_grid, make_spec, total_population
+from agebranch import build_grid, field_norm, make_spec, total_population
 from agebranch.errors import CoefficientBoundError
 from agebranch.model import ModelSpec, family_parameters
 
@@ -76,6 +76,14 @@ def test_total_population_shape_mismatch(constant_grid):
         total_population(np.zeros((3, 4)), constant_grid)
 
 
+@pytest.mark.parametrize("n_x,n_a", [(3, 2), (10, 30), (32, 100), (101, 7)])
+def test_field_norm_is_bitwise_the_linalg_norm_form(n_x, n_a, rng):
+    g = build_grid(make_spec("constant", n_x=n_x, n_a=n_a, x_max=3.7))
+    for scale in (1e-150, 1e-3, 1.0, 1e5, 1e150):
+        u = scale * rng.standard_normal((n_a + 1, n_x))
+        assert field_norm(u, g) == float(np.max(np.sqrt(g.dx) * np.linalg.norm(u, axis=1)))
+
+
 def test_diffusivity_bound_is_enforced():
     spec = ModelSpec(
         d=lambda z: 1.0 - z,  # dips below the bound for z > 0.5
@@ -99,6 +107,23 @@ def test_negative_rates_are_hard_errors():
         spec.eval_mu(np.zeros(3), 0.0)
     with pytest.raises(CoefficientBoundError):
         spec.eval_b(np.zeros(3), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_each_kind_of_bad_coefficient_value_is_named(bad):
+    spec = ModelSpec(
+        d=lambda z: np.where(z > 0.5, bad, 1.0),
+        mu=lambda z, a: np.where((a == 0.5) & (z > 0.5), bad, 1.0),
+        b=lambda z, a: np.ones_like(z),
+        d_lower=0.1,
+    )
+    z = np.array([0.0, 1.0, 0.2])
+    finite = np.isfinite(bad)
+    with pytest.raises(CoefficientBoundError, match="fell below" if finite else "non-finite"):
+        spec.eval_d(z)
+    kind = "is negative" if finite else "evaluated to a non-finite value"
+    with pytest.raises(CoefficientBoundError, match=f"{kind} at age 0.5$"):
+        spec.rate_table("mu", z, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_derivative_fallback_is_flagged_and_accurate():

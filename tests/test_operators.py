@@ -5,6 +5,7 @@ from agebranch import build_grid, make_spec, total_population
 from agebranch.errors import CoefficientBoundError
 from agebranch.model import ModelSpec
 from agebranch.operators import (
+    _age_systems,
     advance_cohorts,
     assemble_elliptic,
     birth_functional,
@@ -135,17 +136,18 @@ def test_evolve_superposition(rng, logistic_spec, logistic_grid):
     assert np.allclose(combined, separate, rtol=1e-12, atol=1e-13)
 
 
-def test_evolve_inverts_the_forward_operator(rng, logistic_spec, logistic_grid):
+def test_evolve_inverts_the_forward_operator(rng, model_at):
     # applying the implicit-Euler forward relation to the march output must
     # reproduce the (source, trace) data to solver round-off
-    g = logistic_grid
+    spec = model_at(12, 40)
+    g = build_grid(spec)
     U = rng.random(g.n_x)
     w0 = rng.random(g.n_x)
     source = rng.random((g.n_a + 1, g.n_x))
-    u = evolve(U, w0, logistic_spec, g, source=source)
+    u = evolve(U, w0, spec, g, source=source)
     assert np.array_equal(u[0], w0)
     for k in range(1, g.n_a + 1):
-        op = assemble_elliptic(U, g.a_nodes[k], logistic_spec, g)
+        op = assemble_elliptic(U, g.a_nodes[k], spec, g)
         recovered = (u[k] + g.da * op.apply(u[k]) - u[k - 1]) / g.da
         assert np.allclose(recovered, source[k], atol=1e-10)
 
@@ -334,15 +336,36 @@ def test_non_finite_age_step_is_an_arithmetic_error(logistic_grid):
         evolve(np.zeros(g.n_x), np.ones(g.n_x), spec, g)
 
 
-def test_cohort_step_matches_row_solves(rng, logistic_spec, logistic_grid):
-    g = logistic_grid
+def test_cohort_step_matches_row_solves(rng, model_at):
+    spec = model_at(12, 40)
+    g = build_grid(spec)
     U = rng.random(g.n_x)
     u = rng.random((g.n_a + 1, g.n_x))
-    stepped = advance_cohorts(U, u, logistic_spec, g)
+    stepped = advance_cohorts(U, u, spec, g)
     for k in range(1, g.n_a + 1):
-        op = assemble_elliptic(U, g.a_nodes[k], logistic_spec, g)
+        op = assemble_elliptic(U, g.a_nodes[k], spec, g)
         assert np.allclose(stepped[k - 1], op.solve_shifted(g.da, u[k - 1]),
                            rtol=1e-13, atol=0.0)
+
+
+def test_age_systems_are_the_symmetrized_steps(rng, model_at):
+    # the march solves S = D M D^-1 with D = diag(1/sqrt2, 1, ..., 1, 1/sqrt2),
+    # M = I + da * A the assembled step; S is symmetric and, as I plus da
+    # times a matrix similar to a positive semidefinite one, SPD with
+    # spectrum at or above 1
+    spec = model_at(12, 40)
+    g = build_grid(spec)
+    U = rng.random(g.n_x)
+    diag, off = _age_systems(U[None, :], spec, g, g.a_nodes)
+    assert diag.shape == (g.n_a + 1, 1, g.n_x) and off.shape == (1, g.n_x)
+    assert off[0, -1] == 0.0
+    scale = np.ones(g.n_x)
+    scale[[0, -1]] = np.sqrt(0.5)
+    for k, age in enumerate(g.a_nodes):
+        M = np.eye(g.n_x) + g.da * assemble_elliptic(U, age, spec, g).to_dense()
+        S = np.diag(diag[k, 0]) + np.diag(off[0, :-1], 1) + np.diag(off[0, :-1], -1)
+        assert np.allclose(S, scale[:, None] * M / scale[None, :], rtol=1e-15, atol=0.0)
+        assert np.linalg.eigvalsh(S).min() >= 1.0 - 1e-12
 
 
 def test_divergence_form_matches_assembled_operator(rng):

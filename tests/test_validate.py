@@ -62,10 +62,11 @@ def test_equilibria_are_steady(logistic_small, short_branch):
         assert total <= 1e-4
 
 
-def test_one_step_matches_manual_composition(logistic_small, rng):
+def test_one_step_matches_manual_composition(model_at, rng):
     # freeze the step semantics: shift, implicit row solves at start-of-step
     # population, then renewal that still sees the old newborn row
-    spec, g = logistic_small
+    spec = model_at(10, 30)
+    g = build_grid(spec)
     lam = 1.7
     u0 = rng.random((g.n_a + 1, g.n_x))
     state = simulate_transient(u0, lam, 1, spec, g)
