@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from .errors import (
     CoefficientBoundError,
@@ -67,6 +67,8 @@ _NUMERICAL_ERRORS = (
 BRANCH_CSV_COLUMNS = ("index", "arclength", "lambda", "u_norm", "min_u",
                       "r_Q_u", "residual_norm")
 DRIFT_CSV_COLUMNS = ("step", "t", "drift", "min_u")
+# the snapshot entries that verify reads
+_SNAPSHOT_KEYS = ("v", "u", "lambda", "arclength", "diagnostics.newton_iters")
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 # solver knobs of earlier versions: configs that set them still load
@@ -122,8 +124,49 @@ CONFIG_SCHEMA = {
     },
 }
 
-# the schema itself is checked by the tests, not on every load
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+def _schema_violation(value, schema: dict, path: tuple = ()):
+    """First violation of ``schema`` by ``value`` as ``(path, message)``, or None.
+
+    Knows the keywords CONFIG_SCHEMA uses (type, enum, required, properties,
+    additionalProperties, minimum, exclusiveMinimum) and reads them as JSON
+    Schema does, except that it also rejects what JSON Schema lets through but
+    the model cannot take: non-finite numbers (``NaN``, ``Infinity``, which
+    Python's json parses) and integral floats such as ``8.0`` for an integer.
+    The tests hold it to jsonschema's decisions on a corpus of configs.
+    """
+    kind = schema.get("type")
+    if kind == "object" and not isinstance(value, dict):
+        return path, f"{value!r} is not of type 'object'"
+    if kind in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return path, f"{value!r} is not of type {kind!r}"
+        if isinstance(value, float) and not math.isfinite(value):
+            return path, f"{value!r} is not a finite number"
+        if kind == "integer" and not isinstance(value, int):
+            return path, f"{value!r} is not an integer (write it without a fraction)"
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return path, (f"{value!r} is less than or equal to the minimum of "
+                          f"{schema['exclusiveMinimum']!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = schema.get("properties", {}).get(key, extra)
+            if sub is False:
+                return path, f"Additional properties are not allowed ({key!r} was unexpected)"
+            if sub is not True:
+                violation = _schema_violation(item, sub, path + (key,))
+                if violation is not None:
+                    return violation
+    return None
+
 
 _MODEL_SPEC_KEYS = ("x_min", "x_max", "a_max", "n_x", "n_a", "newton_tol",
                     "eigen_tol", "simplicity_tol", "gap_tol", "rank_tol",
@@ -159,10 +202,10 @@ def load_config(path) -> dict:
     """Read and schema-validate a run configuration; unknown keys rejected."""
     path = Path(path)
     cfg = _read_json(path, "config")
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        where = "/".join(str(part) for part in error.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {where}: {error.message}") from error
+    violation = _schema_violation(cfg, CONFIG_SCHEMA)
+    if violation is not None:
+        where, message = violation
+        raise ConfigError(f"{path}: at {'/'.join(where) or '<root>'}: {message}")
     return cfg
 
 
@@ -233,25 +276,49 @@ def write_branch_outputs(branch: Branch, out_dir, cfg: dict, seed: int) -> Path:
     return csv_path
 
 
+def _require_keys(payload, keys, path: Path, what: str) -> None:
+    """ConfigError naming ``path`` unless the JSON object has every key
+    (dotted keys reach into nested objects)."""
+    for key in keys:
+        node = payload
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise ConfigError(f"{path}: {what} has no '{key}' entry")
+            node = node[part]
+
+
 def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
-    """Load branch_meta.json, the CSV rows and the point snapshots; a missing
-    or invalid file is a ConfigError naming its path."""
+    """Load branch_meta.json, the CSV rows and the point snapshots; a missing,
+    invalid or incomplete file is a ConfigError naming its path (and the line,
+    for a CSV row)."""
     out = Path(out_dir)
-    meta = _read_json(out / "branch_meta.json", "branch metadata")
-    csv_lines = _read_text(out / "branch.csv", "branch CSV").strip().splitlines()
-    if csv_lines[0] != ",".join(BRANCH_CSV_COLUMNS):
-        raise ValueError(f"unexpected branch CSV header: {csv_lines[0]!r}")
+    meta_path, csv_path = out / "branch_meta.json", out / "branch.csv"
+    meta = _read_json(meta_path, "branch metadata")
+    _require_keys(meta, ("lambda0",), meta_path, "branch metadata")
+    csv_lines = _read_text(csv_path, "branch CSV").rstrip().splitlines()
+    header = ",".join(BRANCH_CSV_COLUMNS)
+    if not csv_lines or csv_lines[0] != header:
+        found = csv_lines[0] if csv_lines else ""
+        raise ConfigError(f"{csv_path}:1: expected the header {header!r}, found {found!r}")
     rows = []
-    for line in csv_lines[1:]:
+    for lineno, line in enumerate(csv_lines[1:], start=2):
         parts = line.split(",")
-        rows.append({
-            "index": int(parts[0]),
-            **{name: float(val) for name, val in zip(BRANCH_CSV_COLUMNS[1:], parts[1:])},
-        })
+        if len(parts) != len(BRANCH_CSV_COLUMNS):
+            raise ConfigError(f"{csv_path}:{lineno}: {len(parts)} fields, "
+                              f"expected {len(BRANCH_CSV_COLUMNS)}")
+        try:
+            rows.append({
+                "index": int(parts[0]),
+                **{name: float(val) for name, val in zip(BRANCH_CSV_COLUMNS[1:], parts[1:])},
+            })
+        except ValueError as exc:
+            raise ConfigError(f"{csv_path}:{lineno}: {exc}") from exc
     snapshots = []
     for row in rows:
         snap_path = out / "snapshots" / f"point_{row['index']:05d}.json"
-        snapshots.append(_read_json(snap_path, "snapshot"))
+        snapshot = _read_json(snap_path, "snapshot")
+        _require_keys(snapshot, _SNAPSHOT_KEYS, snap_path, "snapshot")
+        snapshots.append(snapshot)
     return meta, rows, snapshots
 
 

@@ -17,11 +17,13 @@ symmetric, so each step ``M = I + da * A`` is solved as the SPD M-matrix
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dptsv
 
 from .model import (
     AgeSpaceField,
@@ -42,6 +44,33 @@ _STACK_BYTES = 16 * 2**20
 
 _SQRT2 = np.sqrt(2.0)
 _RSQRT2 = 1.0 / _SQRT2
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded without the ``scipy.linalg``
+    package: its ``__init__`` builds scipy's array-API layer, which touches
+    every lazy numpy submodule (f2py, testing, ma, ...) and costs about 0.3 s
+    of each CLI start.  The extension imports only numpy.  It is registered
+    under its own name, so a later ``import scipy.linalg`` reuses it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy_dir, "linalg")])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+dptsv = _load_flapack().dptsv
+
+
+def solve_banded(*args, **kwargs):
+    """``scipy.linalg.solve_banded``, imported on first call: only the test
+    oracle ``EllipticOperator.solve_shifted`` uses it."""
+    from scipy.linalg import solve_banded as solve
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)

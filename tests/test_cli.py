@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from agebranch import Branch, build_grid, make_spec
 from agebranch.cli import (
     BRANCH_CSV_COLUMNS,
     CONFIG_SCHEMA,
+    _schema_violation,
     load_config,
     read_branch_outputs,
     run_command,
@@ -61,12 +63,84 @@ def test_config_schema_is_a_valid_schema():
 
 
 def test_importing_the_cli_skips_scipy_optimize():
+    # nor scipy.linalg (LAPACK is loaded on its own) nor jsonschema
     src = str(Path(agebranch.__file__).resolve().parents[1])
-    code = "import sys, agebranch.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, agebranch.cli; print(*(name in sys.modules for name in "
+            "('scipy.optimize', 'scipy.linalg', 'jsonschema')))")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False"] * 3
+
+
+def _schema_paths(schema, path=()):
+    for key, sub in schema.get("properties", {}).items():
+        yield path + (key,), sub
+        yield from _schema_paths(sub, path + (key,))
+
+
+def _config_paths(cfg, path=()):
+    for key, value in cfg.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _config_paths(value, path + (key,))
+
+
+def _mutated(cfg, path, value=None, delete=False):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    if delete:
+        node.pop(path[-1], None)
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+_ANY = ("x", True, False, None, [], [1.0], {}, {"a": 1}, 0, 1, -1, 3, 0.5, -2.5, 1e-300,
+        10**20, 8.0, 0.0, -1.0, float("nan"), float("inf"), float("-inf"))
+
+
+def _config_corpus():
+    """(config, extra) pairs: every shipped config and the small test configs,
+    and mutations of each shipped config by type, enum value, bound, missing
+    and additional key.  ``extra`` marks the two cases the checker rejects
+    beyond JSON Schema: a non-finite number, an integral float for an integer."""
+    shipped = [json.loads(p.read_text())
+               for p in sorted((Path(__file__).parents[1] / "configs").glob("*.json"))]
+    corpus = [(cfg, False) for cfg in (*shipped, SMALL_LOGISTIC, SMALL_CONSTANT)]
+    schemas = dict(_schema_paths(CONFIG_SCHEMA))
+
+    def extra(path, value):
+        return isinstance(value, float) and (
+            not math.isfinite(value)
+            or (schemas.get(path, {}).get("type") == "integer" and value.is_integer()))
+
+    for base in shipped:
+        for path in sorted(set(schemas) | set(_config_paths(base))):
+            sub = schemas.get(path, {})
+            values = [*_ANY, *sub.get("enum", ()), "bogus"]
+            for bound in (sub.get("minimum"), sub.get("exclusiveMinimum")):
+                if bound is not None:
+                    values += [bound - 1, bound, bound + 1, float(bound),
+                               bound - 1e-9, bound + 1e-9]
+            corpus += [(_mutated(base, path, value), extra(path, value)) for value in values]
+            corpus.append((_mutated(base, path, delete=True), False))
+        for parent in ((), ("model",), ("continuation",), ("model", "params")):
+            path = parent + ("extra_key",)
+            corpus += [(_mutated(base, path, value), extra(path, value))
+                       for value in ("x", 1.0, float("nan"))]
+    return corpus
+
+
+def test_config_checker_decides_as_jsonschema_does():
+    reference = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+    corpus = _config_corpus()
+    assert len(corpus) > 2000
+    for cfg, extra in corpus:
+        accepted = _schema_violation(cfg, CONFIG_SCHEMA) is None
+        assert accepted == (reference.is_valid(cfg) and not extra), cfg
 
 
 def test_malformed_json_exits_4(tmp_path):
@@ -80,6 +154,20 @@ def test_unknown_keys_are_rejected(tmp_path):
     assert run_command(["bifpoint", "--config", write_cfg(tmp_path, cfg)]) == 4
     cfg = {"model": {"family": "constant", "spacing": 0.1}}
     assert run_command(["bifpoint", "--config", write_cfg(tmp_path, cfg)]) == 4
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("bifpoint", "model", "n_x", 8.0),
+    ("continue", "continuation", "ds0", float("nan")),
+])
+def test_integral_floats_and_non_finite_numbers_are_named(tmp_path, capsys, command,
+                                                          section, key, value):
+    # json parses NaN and Infinity, and JSON Schema counts 8.0 as an integer
+    cfg = json.loads(json.dumps(SMALL_LOGISTIC))
+    cfg[section][key] = value
+    assert run_command([command, "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")]) == 4
+    assert f"at {section}/{key}: " in capsys.readouterr().err
 
 
 def test_schema_violation_message_names_the_location(tmp_path):
@@ -227,18 +315,65 @@ def test_simulate_requires_an_input(tmp_path):
                         "--out", str(tmp_path / "x")]) == 4
 
 
-@pytest.mark.parametrize("missing", ["branch_meta.json", "branch.csv",
-                                     "snapshots/point_00001.json"])
-def test_verify_names_a_missing_output_file(small_run, tmp_path, capsys, missing):
-    cfg_path, out, _ = small_run
-    copy = tmp_path / "copy"
+def _copy_run(out, copy):
     (copy / "snapshots").mkdir(parents=True)
     for item in [*out.iterdir(), *(out / "snapshots").iterdir()]:
         if item.is_file():
             (copy / item.relative_to(out)).write_bytes(item.read_bytes())
+    return copy
+
+
+@pytest.mark.parametrize("missing", ["branch_meta.json", "branch.csv",
+                                     "snapshots/point_00001.json"])
+def test_verify_names_a_missing_output_file(small_run, tmp_path, capsys, missing):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
     (copy / missing).unlink()
     assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
     assert f"config error: {copy / missing}: cannot read" in capsys.readouterr().err
+
+
+def _spoil_csv_line(lineno, edit):
+    def spoil(lines):
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        return lines
+    return spoil
+
+
+@pytest.mark.parametrize("spoil,where", [
+    (_spoil_csv_line(3, lambda line: ",".join(line.split(",")[:4])), ":3: 4 fields"),
+    (lambda lines: [], ":1: expected the header"),
+    (_spoil_csv_line(1, lambda line: line.replace("lambda", "lam")), ":1: expected the header"),
+    (_spoil_csv_line(2, lambda line: line.replace(",", ",x", 1)), ":2: could not convert"),
+], ids=["short_row", "empty", "bad_header", "non_numeric"])
+def test_verify_names_a_broken_csv_line(small_run, tmp_path, capsys, spoil, where):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    csv_path = copy / "branch.csv"
+    lines = spoil(csv_path.read_text().splitlines())
+    csv_path.write_text("".join(line + "\n" for line in lines))
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
+    assert f"config error: {csv_path}{where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,key", [
+    *(("snapshots/point_00001.json", key)
+      for key in ("v", "u", "lambda", "arclength", "diagnostics.newton_iters")),
+    ("branch_meta.json", "lambda0"),
+])
+def test_verify_names_a_file_without_an_entry(small_run, tmp_path, capsys, name, key):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    payload = json.loads((copy / name).read_text())
+    *parents, last = key.split(".")
+    node = payload
+    for part in parents:
+        node = node[part]
+    del node[last]
+    (copy / name).write_text(json.dumps(payload))
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
+    err = capsys.readouterr().err
+    assert f"config error: {copy / name}: " in err and f"has no '{key}' entry" in err
 
 
 @pytest.mark.parametrize("flag,content", [("--snapshot", None), ("--field", None),

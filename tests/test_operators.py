@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import agebranch
 from agebranch import build_grid, make_spec, total_population
 from agebranch.errors import CoefficientBoundError
 from agebranch.model import ModelSpec
@@ -377,3 +383,32 @@ def test_divergence_form_matches_assembled_operator(rng):
     op = assemble_elliptic(np.zeros(g.n_x), 0.0, spec, g)
     assert np.allclose(divergence_form(np.full(g.n_x, 1.7), w, g), op.apply(w),
                        rtol=1e-13, atol=1e-13)
+
+
+def test_age_steps_call_the_lapack_of_a_later_scipy_linalg():
+    # the kernel loads LAPACK without scipy.linalg; importing scipy.linalg
+    # afterwards must reuse that extension, and the march must still agree
+    # with the banded oracle solve step by step
+    code = """
+import numpy as np
+import agebranch
+import agebranch.operators as operators
+import scipy.linalg
+from agebranch import assemble_elliptic, build_grid, evolve, make_spec
+assert scipy.linalg.lapack.dptsv is operators.dptsv
+spec = make_spec("logistic_death", n_x=12, n_a=40)
+g = build_grid(spec)
+rng = np.random.default_rng(7)
+U, w0 = rng.random(g.n_x), rng.random(g.n_x)
+u = evolve(U, w0, spec, g)
+for k in range(1, g.n_a + 1):
+    op = assemble_elliptic(U, g.a_nodes[k], spec, g)
+    assert np.allclose(u[k], op.solve_shifted(g.da, u[k - 1]), rtol=1e-13, atol=0.0)
+print("ok")
+"""
+    src = str(Path(agebranch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
