@@ -10,6 +10,7 @@ exactly; identical config and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -528,6 +529,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agebranch",

@@ -258,12 +258,15 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
             raise ValueError(f"a banded source marches {n} columns under one population, "
                              f"not initial traces of shape {w0.shape} under {U.shape}")
         # scaled once by da and by D (rows 0 and n - 1); entries [1::n+1],
-        # [::n+1] and [n::n+1] of the flat state are the sub-, main and superdiagonal
+        # [::n+1] and [n::n+1] of the flat state are the sub-, main and
+        # superdiagonal, disjoint, so one indexed add per step adds all three
         bands = [g.da * check_shape(band, (g.n_a + 1, n - off), f"source {name}")
                  for band, name, off in zip(source, ("lower", "diag", "upper"), (1, 0, 1))]
         bands[0][:, -1] *= _RSQRT2
         _scale_edges(bands[1], 1, _RSQRT2)
         bands[2][:, 0] *= _RSQRT2
+        band_at = np.concatenate([np.arange(start, n * n, n + 1) for start in (1, 0, n)])
+        bands = np.concatenate(bands, axis=1)
     elif source is not None:
         src = g.da * check_shape(source, out_shape, "source")
         _scale_edges(src, -1 if blocks else 1, _RSQRT2)
@@ -274,8 +277,7 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
     off = off.ravel()[:-1]
     for k in range(1, g.n_a + 1):
         if banded:
-            for start, band in zip((1, 0, n), bands):
-                flat[start::n + 1] += band[k]
+            flat[band_at] += bands[k]
         elif source is not None:
             state += src[k]
         _solve_age_step(diag[k], off, state)

@@ -73,6 +73,21 @@ def test_importing_the_cli_skips_scipy_optimize():
     assert result.stdout.split() == ["False"] * 3
 
 
+def test_oracle_subcommand_skips_scipy_optimize():
+    # the scalar roots bisect in a fresh interpreter, without scipy.optimize
+    src = str(Path(agebranch.__file__).resolve().parents[1])
+    cfg = str(Path(__file__).parents[1] / "configs" / "logistic_death.json")
+    code = ("import sys; from agebranch.cli import run_command; "
+            f"code = run_command(['oracle', '--config', {cfg!r}]); "
+            "print('exit', code, 'scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "exit 0 False"
+    assert "homogeneous branch (lambda, U):" in lines
+
+
 def _schema_paths(schema, path=()):
     for key, sub in schema.get("properties", {}).items():
         yield path + (key,), sub

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from agebranch import build_grid, make_spec
 from agebranch.oracles import (
@@ -54,8 +55,44 @@ def test_equilibrium_at_or_below_critical_is_zero(grid):
 
 def test_march_population_consistency(grid):
     amp = 0.3
-    U = march_population(amp, 1.0, 1.0, 1.0, grid)
+    U = march_population(amp, 1.0, 1.0, grid)
     assert abs(U - amp * survival_sum(1.0 + U, grid)) <= 1e-12
+
+
+def _brentq_root(f, hi):
+    # scipy's Brent root of a decreasing f with f(0) > 0, to its tightest tolerance
+    while f(hi) > 0.0:
+        hi *= 2.0
+    return brentq(f, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 30.0])
+def test_roots_agree_with_brentq(kappa):
+    g = build_grid(make_spec("logistic_death", n_x=4, n_a=100))
+    mu0, b0 = 1.0, 1.0
+    lam0 = discrete_critical_intensity(mu0, b0, g)
+    for ratio in (1.0001, 1.2, 2.0, 50.0):
+        lam = ratio * lam0
+        U = equilibrium_population(lam, mu0, kappa, b0, g)
+        ref = _brentq_root(lambda x: lam * b0 * survival_sum(mu0 + kappa * x, g) - 1.0, 1.0)
+        assert abs(U - ref) <= 1e-12 * ref, (ratio, U, ref)
+    for amp in np.geomspace(1e-6, 100.0, 9):
+        U = march_population(amp, mu0, kappa, g)
+        ref = _brentq_root(lambda x: amp * survival_sum(mu0 + kappa * x, g) - x, 1.0)
+        assert abs(U - ref) <= 1e-12 * ref, (amp, U, ref)
+
+
+def test_unbracketed_equilibrium_raises(grid):
+    # S(m) >= da / 2 for every m, so lam * b0 * da / 2 > 1 keeps f positive
+    lam = 4.0 / grid.da
+    with pytest.raises(RuntimeError, match="failed to bracket"):
+        equilibrium_population(lam, 1.0, 1.0, 1.0, grid)
+
+
+def test_march_population_rejects_negative_amplitude(grid):
+    with pytest.raises(ValueError, match="amplitude"):
+        march_population(-0.1, 1.0, 1.0, grid)
+    assert march_population(0.0, 1.0, 1.0, grid) == 0.0
 
 
 def test_profile_starts_at_amplitude(grid):

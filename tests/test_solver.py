@@ -78,7 +78,7 @@ def test_march_matches_scalar_fixed_point(logistic):
     spec, g = logistic
     eps = 0.01
     u = quasilinear_march(np.full(g.n_x, eps), spec, g)
-    U_star = march_population(eps, 1.0, 1.0, 1.0, g)
+    U_star = march_population(eps, 1.0, 1.0, g)
     expected = homogeneous_profile(eps, 1.0 + U_star, g)
     assert np.max(np.abs(u - expected[:, None])) <= 1e-10
 
@@ -90,7 +90,7 @@ def test_march_damps_through_strong_feedback():
     g = build_grid(spec)
     v = np.full(g.n_x, 0.8)
     u = quasilinear_march(v, spec, g)
-    U_star = march_population(0.8, 1.0, 30.0, 1.0, g)
+    U_star = march_population(0.8, 1.0, 30.0, g)
     expected = homogeneous_profile(0.8, 1.0 + 30.0 * U_star, g)
     assert np.max(np.abs(u - expected[:, None])) <= 1e-9
 
