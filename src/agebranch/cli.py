@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     NoPositiveEigenvalueError,
     PositivityError,
-    PowerIterationError,
     SingularSystemError,
     StepFailureError,
 )
@@ -58,7 +57,6 @@ _NUMERICAL_ERRORS = (
     CoefficientBoundError,
     NoPositiveEigenvalueError,
     PositivityError,
-    PowerIterationError,
     SingularSystemError,
     StepFailureError,
     ValueError,
@@ -74,6 +72,8 @@ _SNAPSHOT_KEYS = ("v", "u", "lambda", "arclength", "diagnostics.newton_iters")
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 # solver knobs of earlier versions: configs that set them still load
 _IGNORED = "accepted and ignored: the corrector is one Newton method on (lambda, v, U)"
+_IGNORED_EIGEN = ("accepted and ignored: the Perron pair comes from one dense "
+                  "LAPACK eigensolve, which takes no tolerance")
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -97,7 +97,7 @@ CONFIG_SCHEMA = {
                 "n_a": {"type": "integer", "minimum": 2},
                 "newton_tol": _POSITIVE,
                 "inner_tol": {**_POSITIVE, "description": _IGNORED},
-                "eigen_tol": _POSITIVE,
+                "eigen_tol": {**_POSITIVE, "description": _IGNORED_EIGEN},
                 "fd_eps": {**_POSITIVE, "description": _IGNORED},
                 "simplicity_tol": _POSITIVE,
                 "gap_tol": _POSITIVE,
@@ -170,7 +170,7 @@ def _schema_violation(value, schema: dict, path: tuple = ()):
 
 
 _MODEL_SPEC_KEYS = ("x_min", "x_max", "a_max", "n_x", "n_a", "newton_tol",
-                    "eigen_tol", "simplicity_tol", "gap_tol", "rank_tol",
+                    "simplicity_tol", "gap_tol", "rank_tol",
                     "radius_identity_tol")
 _CONTINUATION_SPEC_KEYS = ("t0", "ds0", "ds_min", "ds_max", "lambda_max",
                            "u_norm_max", "max_points", "pos_tol")
@@ -333,7 +333,7 @@ def _cmd_bifpoint(args) -> int:
     cert = check_simplicity(bif.perron, spec.simplicity_tol, spec.gap_tol)
 
     print(f"lambda0 = {_fmt(bif.lambda0)}")
-    print(f"radius  = {_fmt(bif.perron.radius)}  (iterations {bif.perron.iterations})")
+    print(f"radius  = {_fmt(bif.perron.radius)}")
     print(f"phi0    in [{_fmt(bif.phi0.min())}, {_fmt(bif.phi0.max())}]")
     print(f"simplicity: pairing {_fmt(cert.pairing)}, gap {_fmt(cert.gap)} -> "
           f"{'pass' if cert.passed else 'FAIL'}")
@@ -346,7 +346,7 @@ def _cmd_bifpoint(args) -> int:
             "radius": bif.perron.radius,
             "gap": bif.perron.gap,
             "pairing": bif.perron.pairing,
-            "iterations": bif.perron.iterations,
+            "iterations": 0,  # the eigensolve has no iteration count; key kept for readers
             "phi0": bif.phi0.tolist(),
             "psi0": bif.psi0.tolist(),
             "simplicity_passed": cert.passed,

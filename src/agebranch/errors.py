@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class CoefficientBoundError(ValueError):
     """A model coefficient violated its declared bound at a probed argument."""
@@ -11,15 +9,6 @@ class CoefficientBoundError(ValueError):
 
 class NoPositiveEigenvalueError(RuntimeError):
     """The nonnegative operator has no eigenvalue above the detection floor."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: np.ndarray, last_estimate: float):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.last_estimate = last_estimate
 
 
 class StepFailureError(RuntimeError):

@@ -81,7 +81,6 @@ class ModelSpec:
 
     # solver tolerances
     newton_tol: float = 1e-10
-    eigen_tol: float = 1e-10
 
     # continuation parameters
     t0: float = 1e-2
@@ -95,7 +94,6 @@ class ModelSpec:
 
     # iteration budgets
     max_newton: int = 12
-    power_max_iter: int = 100_000
 
     # certificate thresholds
     simplicity_tol: float = 1e-8

@@ -317,8 +317,7 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
 def _finish_point(lam, v, u, rnorm, newton_iters, spec, g) -> BranchPoint:
     try:
         Q = next_generation_operator(u, spec, g)
-        radius = perron_eigenpair(Q, tol=spec.eigen_tol, max_iter=spec.power_max_iter,
-                                  weights=g.w_x).radius
+        radius = perron_eigenpair(Q, weights=g.w_x).radius
     except NoPositiveEigenvalueError:
         radius = float("nan")
     diags = PointDiagnostics(
@@ -470,8 +469,7 @@ def branch_invariant_check(pt: BranchPoint, spec: ModelSpec, g: Grid) -> Invaria
     identity, which only holds for positive solutions.
     """
     Q = next_generation_operator(pt.u, spec, g)
-    radius = perron_eigenpair(Q, tol=spec.eigen_tol, max_iter=spec.power_max_iter,
-                              weights=g.w_x).radius
+    radius = perron_eigenpair(Q, weights=g.w_x).radius
     defect = abs(pt.lam * radius - 1.0)
     fnorm = field_norm(full_residual(pt.lam, pt.u, spec, g), g)
     trivial = field_norm(pt.u, g) <= 1e-10

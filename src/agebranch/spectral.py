@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPositiveEigenvalueError, PositivityError, PowerIterationError
+from .errors import NoPositiveEigenvalueError, PositivityError
 from .model import Grid, ModelSpec, SpatialField
-from .operators import next_generation_operator
+from .operators import _load_flapack, next_generation_operator
+
+dgeev = _load_flapack().dgeev
 
 _RADIUS_FLOOR = 1e-14
 
@@ -27,15 +29,14 @@ class PerronResult:
     the dx-weighted inner product, scaled so that ``<psi, phi>_w = 1`` when
     the pairing allows it.  ``pairing`` is the cosine of the angle between the
     left and right eigenvectors (1 for weighted-self-adjoint operators, ~0 for
-    a defective radius) and ``gap`` the relative separation from the second
-    eigenvalue estimate.
+    a defective radius) and ``gap`` is ``1 - |second eigenvalue| / radius``,
+    the second eigenvalue being the largest in modulus of the others.
     """
 
     radius: float
     phi: SpatialField
     psi: SpatialField
     gap: float
-    iterations: int
     pairing: float
     positive: bool
 
@@ -57,96 +58,43 @@ class BifurcationPoint:
     perron: PerronResult
 
 
-def _power(Q: np.ndarray, x0: np.ndarray, tol: float, max_iter: int,
-           w: np.ndarray) -> tuple[np.ndarray, float, int]:
-    def wnorm(z):
-        return np.sqrt(np.sum(w * z * z))
-
-    x = x0 / wnorm(x0)
-    y = Q @ x
-    r = 0.0
-    for it in range(1, max_iter + 1):
-        r = float(np.sum(w * x * y))
-        # scale-invariant residual test on the current iterate
-        if np.max(np.abs(y - r * x)) <= tol * max(r, _RADIUS_FLOOR) * np.max(np.abs(x)):
-            return x, r, it
-        ynorm = wnorm(y)
-        if ynorm < 1e-300:
-            raise NoPositiveEigenvalueError(
-                "no positive eigenvalue: power iterate was annihilated"
-            )
-        x = y / ynorm
-        y = Q @ x
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last residual {np.max(np.abs(y - r * x)):.3e}, estimate {r:.6g})",
-        last_iterate=x,
-        last_estimate=r,
-    )
-
-
-def _second_radius(Q: np.ndarray, radius: float, phi: np.ndarray,
-                   psi_scaled: np.ndarray, w: np.ndarray, max_iter: int = 400) -> float:
-    """Largest remaining eigenvalue modulus after deflating the Perron pair."""
-    deflated = Q - radius * np.outer(phi, w * psi_scaled)
-    n = Q.shape[0]
-    x = np.linspace(-1.0, 1.0, n)
-    x -= phi * np.sum(w * psi_scaled * x)
-    norm = np.sqrt(np.sum(w * x * x))
-    if norm < 1e-300:
-        x = np.zeros(n)
-        x[0] = 1.0
-        x -= phi * np.sum(w * psi_scaled * x)
-        norm = np.sqrt(np.sum(w * x * x))
-        if norm < 1e-300:
-            return 0.0
-    x /= norm
-
-    estimates: list[float] = []
-    for _ in range(max_iter):
-        y = deflated @ x
-        est = float(np.sqrt(np.sum(w * y * y)))
-        if est < 1e-300:
-            return 0.0
-        estimates.append(est)
-        if len(estimates) >= 3 and abs(estimates[-1] - estimates[-2]) <= 1e-10 * estimates[-1] \
-                and abs(estimates[-2] - estimates[-3]) <= 1e-10 * estimates[-1]:
-            return est
-        x = y / est
-    # ratios oscillate for a complex pair; the median of the tail is a fair
-    # modulus estimate, and the gap is only certified against gap_tol
-    tail = estimates[-25:]
-    return float(np.median(tail))
-
-
-def perron_eigenpair(Q: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
-                     weights: np.ndarray | None = None) -> PerronResult:
+def perron_eigenpair(Q: np.ndarray, weights: np.ndarray | None = None) -> PerronResult:
     """Spectral radius and positive eigenvector of a nonnegative operator.
 
-    Power iteration from the constant positive vector; the left eigenvector is
-    found the same way on the adjoint with respect to the weighted inner
-    product, and a deflated second iteration estimates the spectral gap.
+    One LAPACK ``dgeev`` gives every eigenvalue with its left and right
+    eigenvectors.  The radius of a nonnegative matrix is its eigenvalue of
+    largest real part; the left vector is taken to the adjoint in the
+    weighted inner product, and the gap compares the largest modulus among
+    the other eigenvalues with the radius.  Negative or non-finite entries
+    are rejected before LAPACK sees the matrix.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"operator must be square, got shape {Q.shape}")
-    if np.any(Q < 0.0):
+    # two reductions pass valid entries: NaN fails the first test, inf the second
+    if not (Q.min() >= 0.0 and Q.max() < np.inf):
+        if not np.all(np.isfinite(Q)):
+            raise ValueError("operator has non-finite entries")
         raise ValueError("operator has negative entries")
-    n = Q.shape[0]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones(Q.shape[0]) if weights is None else np.asarray(weights, dtype=float)
 
-    if np.max(Q) == 0.0:
-        raise NoPositiveEigenvalueError("no positive eigenvalue: operator is zero")
-
-    phi, radius, iterations = _power(Q, np.ones(n), tol, max_iter, w)
+    wr, wi, vl, vr, info = dgeev(Q)
+    if info != 0:
+        raise ArithmeticError(f"LAPACK dgeev failed (info {info})")
+    k = int(np.argmax(wr))
+    radius = float(wr[k])
     if radius < _RADIUS_FLOOR:
         raise NoPositiveEigenvalueError(
-            f"no positive eigenvalue: radius estimate {radius:.3e} below floor"
+            f"no positive eigenvalue: radius {radius:.3e} below floor"
         )
-    phi = phi / np.max(phi)
+    others = np.delete(np.hypot(wr, wi), k)
+    gap = max(0.0, 1.0 - others.max() / radius) if others.size else 1.0
 
-    adjoint = (Q.T * w[None, :]) / w[:, None]
-    psi, _, _ = _power(adjoint, np.ones(n), tol, max_iter, w)
+    # unit vectors of either sign: scale each by its entry of largest modulus
+    phi = vr[:, k] / vr[np.argmax(np.abs(vr[:, k])), k]
+    # a left vector l of Q is the weighted-adjoint eigenvector l / w
+    psi = vl[:, k] / w
+    psi = psi / psi[np.argmax(np.abs(psi))]
 
     pairing_raw = float(np.sum(w * psi * phi))
     pairing = pairing_raw / float(
@@ -155,19 +103,16 @@ def perron_eigenpair(Q: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
     pairing = float(np.clip(pairing, -1.0, 1.0))
     if abs(pairing) > 1e-12:
         psi = psi / pairing_raw
-        gap = max(0.0, (radius - _second_radius(Q, radius, phi, psi, w)) / radius)
     else:
         # defective radius: left and right eigenvectors (numerically)
-        # orthogonal, no spectral projector to deflate with
+        # orthogonal, no pairing to normalise against
         psi = psi / np.sqrt(np.sum(w * psi * psi))
-        gap = 0.0
 
     return PerronResult(
         radius=radius,
         phi=phi,
         psi=psi,
         gap=gap,
-        iterations=iterations,
         pairing=pairing,
         positive=bool(np.min(phi) > 0.0),
     )
@@ -200,8 +145,7 @@ def bifurcation_point(spec: ModelSpec, g: Grid) -> BifurcationPoint:
         raise ValueError("birth rate at zero density vanishes on the entire age grid")
 
     Q0 = next_generation_operator(np.zeros((g.n_a + 1, g.n_x)), spec, g)
-    res = perron_eigenpair(Q0, tol=spec.eigen_tol, max_iter=spec.power_max_iter,
-                           weights=g.w_x)
+    res = perron_eigenpair(Q0, weights=g.w_x)
     if not res.positive:
         raise PositivityError(
             "dominant eigenvector has a non-positive entry; the return map is "

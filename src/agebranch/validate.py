@@ -25,7 +25,7 @@ from .model import (
 )
 from .operators import advance_cohorts, birth_functional, next_generation_operator
 from .solver import jacobian, quasilinear_march
-from .spectral import bifurcation_point, perron_eigenpair
+from .spectral import bifurcation_point
 
 
 @dataclass(frozen=True)
@@ -116,30 +116,17 @@ class TransversalityCertificate:
     pairing: float
     simplicity_tol: float
     passed: bool
-    lambda0: float | None = None
+    lambda0: float
 
 
-def transversality_check(spec: ModelSpec, g: Grid,
-                         Q: np.ndarray | None = None,
-                         simplicity_tol: float | None = None) -> TransversalityCertificate:
+def transversality_check(spec: ModelSpec, g: Grid) -> TransversalityCertificate:
     """Certify the simple transversal crossing at the bifurcation point.
 
     The crossing direction pairs nontrivially against the left null vector
     exactly when the left-right eigenvector pairing of the return map is
-    nonzero; the certificate reports that pairing.  A direct operator ``Q``
-    may be supplied instead of assembling the model's return map (negative
-    controls, e.g. a defective radius, report a pairing near zero).
+    nonzero; the certificate reports that pairing.
     """
-    tol = spec.simplicity_tol if simplicity_tol is None else simplicity_tol
-    if Q is None:
-        bif = bifurcation_point(spec, g)
-        res = bif.perron
-        lam0 = bif.lambda0
-    else:
-        Q = np.asarray(Q, dtype=float)
-        weights = g.w_x if Q.shape[0] == g.n_x else None
-        res = perron_eigenpair(Q, tol=spec.eigen_tol, max_iter=spec.power_max_iter,
-                               weights=weights)
-        lam0 = 1.0 / res.radius
-    return TransversalityCertificate(pairing=res.pairing, simplicity_tol=tol,
-                                     passed=bool(res.pairing > tol), lambda0=lam0)
+    bif = bifurcation_point(spec, g)
+    pairing, tol = bif.perron.pairing, spec.simplicity_tol
+    return TransversalityCertificate(pairing=pairing, simplicity_tol=tol,
+                                     passed=bool(pairing > tol), lambda0=bif.lambda0)

@@ -73,19 +73,26 @@ def test_importing_the_cli_skips_scipy_optimize():
     assert result.stdout.split() == ["False"] * 3
 
 
-def test_oracle_subcommand_skips_scipy_optimize():
-    # the scalar roots bisect in a fresh interpreter, without scipy.optimize
+@pytest.mark.parametrize("command, marker", [
+    ("oracle", "homogeneous branch (lambda, U):"),
+    ("bifpoint", "simplicity: pairing"),
+], ids=["oracle", "bifpoint"])
+def test_oracle_subcommand_skips_scipy_optimize(command, marker):
+    # the scalar roots bisect and the Perron pair comes from the LAPACK
+    # extension itself, in a fresh interpreter without scipy.optimize or
+    # the scipy.linalg namespace
     src = str(Path(agebranch.__file__).resolve().parents[1])
     cfg = str(Path(__file__).parents[1] / "configs" / "logistic_death.json")
     code = ("import sys; from agebranch.cli import run_command; "
-            f"code = run_command(['oracle', '--config', {cfg!r}]); "
-            "print('exit', code, 'scipy.optimize' in sys.modules)")
+            f"code = run_command([{command!r}, '--config', {cfg!r}]); "
+            "print('exit', code, 'scipy.optimize' in sys.modules, "
+            "'scipy.linalg' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True)
     lines = result.stdout.splitlines()
-    assert lines[-1] == "exit 0 False"
-    assert "homogeneous branch (lambda, U):" in lines
+    assert lines[-1] == "exit 0 False False"
+    assert any(line.startswith(marker) for line in lines)
 
 
 def _schema_paths(schema, path=()):
@@ -437,14 +444,16 @@ def test_shipped_configs_validate():
 def test_retired_solver_keys_load_and_change_nothing(tmp_path):
     shipped = load_config(Path(__file__).parents[1] / "configs" / "logistic_death.json")
     csvs = []
-    for mode in ("fd", "analytic"):
+    for name, section, key, value in (("fd", "continuation", "jac_mode", "fd"),
+                                      ("analytic", "continuation", "jac_mode", "analytic"),
+                                      ("eigen_tol", "model", "eigen_tol", 1e-3)):
         cfg = json.loads(json.dumps(shipped))
-        cfg["continuation"]["jac_mode"] = mode
-        out = tmp_path / mode
-        assert run_command(["continue", "--config", write_cfg(tmp_path, cfg, f"{mode}.json"),
+        cfg[section][key] = value
+        out = tmp_path / name
+        assert run_command(["continue", "--config", write_cfg(tmp_path, cfg, f"{name}.json"),
                             "--out", str(out)]) == 0
         csvs.append((out / "branch.csv").read_bytes())
-    assert csvs[0] == csvs[1]
+    assert csvs[0] == csvs[1] == csvs[2]
 
     cfg = json.loads(json.dumps(SMALL_LOGISTIC))
     cfg["model"].update(inner_tol=1e-11, fd_eps=1e-7)

@@ -118,7 +118,7 @@ def test_eigen_identity_at_the_critical_point(constant_spec, constant_grid):
     g = constant_grid
     bif = bifurcation_point(constant_spec, g)
     R, _ = reduced_residual(bif.lambda0, bif.phi0, constant_spec, g)
-    assert np.max(np.abs(R)) <= 2.0 * constant_spec.eigen_tol * np.max(np.abs(bif.phi0))
+    assert np.max(np.abs(R)) <= 2e-10 * np.max(np.abs(bif.phi0))
 
 
 def test_no_birth_returns_the_trace(logistic, rng):
