@@ -10,6 +10,7 @@ exactly; identical config and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -31,6 +32,7 @@ from .model import (
     ModelSpec,
     build_grid,
     check_age_space,
+    check_spatial,
     field_norm,
     make_spec,
     total_population,
@@ -45,13 +47,12 @@ from .oracles import (
 from .solver import (
     Branch,
     BranchPoint,
-    ContinuationParams,
     PointDiagnostics,
     branch_invariant_check,
     continue_branch,
 )
 from .spectral import bifurcation_point, check_simplicity
-from .validate import kernel_dimension, simulate_transient, transversality_check
+from .validate import kernel_dimension, simulate_transient
 
 _NUMERICAL_ERRORS = (
     CoefficientBoundError,
@@ -169,13 +170,6 @@ def _schema_violation(value, schema: dict, path: tuple = ()):
     return None
 
 
-_MODEL_SPEC_KEYS = ("x_min", "x_max", "a_max", "n_x", "n_a", "newton_tol",
-                    "simplicity_tol", "gap_tol", "rank_tol",
-                    "radius_identity_tol")
-_CONTINUATION_SPEC_KEYS = ("t0", "ds0", "ds_min", "ds_max", "lambda_max",
-                           "u_norm_max", "max_points", "pos_tol")
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -211,16 +205,20 @@ def load_config(path) -> dict:
 
 
 def spec_from_config(cfg: dict, resolution_scale: int = 1) -> ModelSpec:
-    """Build the model from a validated config, optionally scaling the grid."""
-    model_cfg = cfg["model"]
-    kwargs = {key: model_cfg[key] for key in _MODEL_SPEC_KEYS if key in model_cfg}
-    cont = cfg.get("continuation", {})
-    kwargs.update({key: cont[key] for key in _CONTINUATION_SPEC_KEYS if key in cont})
+    """Build the model from a validated config, optionally scaling the grid.
+
+    Every key of the ``model`` and ``continuation`` sections that names a
+    :class:`ModelSpec` field is passed on; the others (``family``,
+    ``params`` and the keys the schema accepts and ignores) are not fields.
+    """
+    settings = {**cfg["model"], **cfg.get("continuation", {})}
+    family, params = settings.pop("family"), settings.pop("params", None)
+    fields = {f.name for f in dataclasses.fields(ModelSpec)}
+    spec = make_spec(family, params, **{k: v for k, v in settings.items() if k in fields})
     if resolution_scale != 1:
-        fields = ModelSpec.__dataclass_fields__
-        kwargs["n_x"] = resolution_scale * int(model_cfg.get("n_x", fields["n_x"].default))
-        kwargs["n_a"] = resolution_scale * int(model_cfg.get("n_a", fields["n_a"].default))
-    return make_spec(model_cfg["family"], model_cfg.get("params"), **kwargs)
+        spec = dataclasses.replace(spec, n_x=resolution_scale * spec.n_x,
+                                   n_a=resolution_scale * spec.n_a)
+    return spec
 
 
 # -- export -------------------------------------------------------------------
@@ -370,10 +368,7 @@ def _cmd_continue(args) -> int:
     cfg = load_config(args.config)
     spec = spec_from_config(cfg, args.resolution_scale)
     g = build_grid(spec)
-    cont = cfg.get("continuation", {})
-    params = ContinuationParams.from_spec(
-        spec, lambda_max_factor=cont.get("lambda_max_factor"))
-    branch = continue_branch(spec, g, params)
+    branch = continue_branch(spec, g)
     out = Path(args.out)
     write_branch_outputs(branch, out, cfg, args.seed)
     print(f"branch: {len(branch.points)} points, termination {branch.termination}")
@@ -402,8 +397,8 @@ def _cmd_verify(args) -> int:
 
     for row, snap in zip(rows, snapshots):
         i = row["index"]
-        v = np.asarray(snap["v"], dtype=float)
-        u = check_age_space(np.asarray(snap["u"], dtype=float), g, f"snapshot {i}")
+        v = check_spatial(snap["v"], g, f"snapshot {i} trace")
+        u = check_age_space(snap["u"], g, f"snapshot {i}")
         lam = float(snap["lambda"])
         diags = PointDiagnostics(
             residual_norm=row["residual_norm"],
@@ -446,9 +441,10 @@ def _cmd_verify(args) -> int:
     kernel = kernel_dimension(lam0, np.zeros(g.n_x), spec, g)
     _check(results, "kernel dimension", kernel.dim == 1 and kernel.agree,
            f"dim = {kernel.dim}, eigen dim = {kernel.dim_eigen}")
-    cert = transversality_check(spec, g)
-    _check(results, "transversality", cert.passed,
-           f"pairing = {_fmt(cert.pairing)}")
+    # the crossing is transversal when the left and right null vectors pair
+    pairing = bifurcation_point(spec, g).perron.pairing
+    _check(results, "transversality", pairing > spec.simplicity_tol,
+           f"pairing = {_fmt(pairing)}")
 
     all_ok = all(results)
     print(f"verify: {sum(results)}/{len(results)} checks passed")
@@ -467,7 +463,7 @@ def _cmd_simulate(args) -> int:
     payload = _read_json(path, "simulate input")
     if not isinstance(payload, dict) or "u" not in payload:
         raise ConfigError(f"{path}: no 'u' entry with the age-space field")
-    u0 = np.asarray(payload["u"], dtype=float)
+    u0 = check_age_space(payload["u"], g, f"{path}: u")
     lam = payload.get("lambda") if args.lam is None else args.lam
     if lam is None:
         raise ConfigError(f"{path}: simulate needs an intensity: --lam or a "

@@ -13,7 +13,7 @@ package is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,12 +31,14 @@ _FD_REL_STEP = 1e-6
 
 
 def _central_difference(f):
-    """Central difference in ``z`` of ``f(z)`` or ``f(z, a)``."""
+    """Central difference in ``z`` of ``f(z)`` or ``f(z, a)``; the wrapper
+    keeps ``f`` as ``fd_of``."""
     def deriv(z, *age):
         z = np.asarray(z, dtype=float)
         h = _FD_REL_STEP * (1.0 + np.abs(z))
         return (np.asarray(f(z + h, *age), float) - np.asarray(f(z - h, *age), float)) / (2.0 * h)
 
+    deriv.fd_of = f
     return deriv
 
 
@@ -62,8 +64,10 @@ class ModelSpec:
 
     Derivatives ``d_prime``, ``mu_z``, ``b_z`` (partials in ``z``) are needed
     by the Newton corrector.  When omitted they are replaced by central
-    differences with step ``1e-6 * (1 + |z|)`` and ``derivatives_from_fd`` is
-    set so downstream diagnostics can flag the substitution.
+    differences with step ``1e-6 * (1 + |z|)`` and ``derivatives_from_fd``
+    reports it, so downstream diagnostics can flag the substitution.  A
+    difference wrapper follows its coefficient through ``dataclasses.replace``:
+    it is rebuilt when the coefficient is replaced.
     """
 
     d: DiffusivityFun
@@ -91,6 +95,8 @@ class ModelSpec:
     u_norm_max: float = 50.0
     max_points: int = 200
     pos_tol: float = 1e-12
+    # when set, replaces lambda_max by this multiple of the critical intensity
+    lambda_max_factor: float | None = None
 
     # iteration budgets
     max_newton: int = 12
@@ -105,20 +111,15 @@ class ModelSpec:
     family: str | None = None
     family_params: dict | None = None
 
-    derivatives_from_fd: bool = field(init=False, default=False)
-
     def __post_init__(self):
-        fd_used = False
-        if self.d_prime is None:
-            object.__setattr__(self, "d_prime", _central_difference(self.d))
-            fd_used = True
-        if self.mu_z is None:
-            object.__setattr__(self, "mu_z", _central_difference(self.mu))
-            fd_used = True
-        if self.b_z is None:
-            object.__setattr__(self, "b_z", _central_difference(self.b))
-            fd_used = True
-        object.__setattr__(self, "derivatives_from_fd", fd_used)
+        for name, coeff in (("d_prime", self.d), ("mu_z", self.mu), ("b_z", self.b)):
+            deriv = getattr(self, name)
+            if deriv is None or getattr(deriv, "fd_of", coeff) is not coeff:
+                object.__setattr__(self, name, _central_difference(coeff))
+
+    @property
+    def derivatives_from_fd(self) -> bool:
+        return any(hasattr(f, "fd_of") for f in (self.d_prime, self.mu_z, self.b_z))
 
     # -- checked coefficient evaluation ------------------------------------
 

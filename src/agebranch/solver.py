@@ -93,35 +93,6 @@ class AffineConstraint:
         return self.coeff_lambda * lam + float(self.coeff_v @ v)
 
 
-@dataclass(frozen=True)
-class ContinuationParams:
-    t0: float
-    ds0: float
-    ds_min: float
-    ds_max: float
-    lambda_max: float
-    u_norm_max: float
-    max_points: int
-    pos_tol: float
-    # when set, replaces lambda_max by this multiple of the critical intensity
-    lambda_max_factor: float | None = None
-
-    @classmethod
-    def from_spec(cls, spec: ModelSpec, **overrides) -> "ContinuationParams":
-        values = dict(
-            t0=spec.t0,
-            ds0=spec.ds0,
-            ds_min=spec.ds_min,
-            ds_max=spec.ds_max,
-            lambda_max=spec.lambda_max,
-            u_norm_max=spec.u_norm_max,
-            max_points=spec.max_points,
-            pos_tol=spec.pos_tol,
-        )
-        values.update(overrides)
-        return cls(**values)
-
-
 # -- residual blocks --------------------------------------------------------
 
 def _tangent_source(U: SpatialField, u: AgeSpaceField, spec: ModelSpec,
@@ -336,18 +307,17 @@ def _combined_norm(dlam: float, dv: np.ndarray, g: Grid) -> float:
     return float(np.sqrt(dlam**2 + trace_norm(dv, g) ** 2))
 
 
-def _box_verdict(pt: BranchPoint, p: ContinuationParams) -> str | None:
-    if pt.lam > p.lambda_max:
+def _box_verdict(pt: BranchPoint, lambda_max: float, spec: ModelSpec) -> str | None:
+    if pt.lam > lambda_max:
         return "box_lambda"
-    if pt.diagnostics.u_norm > p.u_norm_max:
+    if pt.diagnostics.u_norm > spec.u_norm_max:
         return "box_norm"
-    if pt.diagnostics.min_u < -p.pos_tol:
+    if pt.diagnostics.min_u < -spec.pos_tol:
         return "left_positive_cone"
     return None
 
 
-def continue_branch(spec: ModelSpec, g: Grid,
-                    params: ContinuationParams | None = None) -> Branch:
+def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
     """Trace the positive branch from the bifurcation point to the box.
 
     The first point is corrected from the tangent predictor along the
@@ -358,12 +328,12 @@ def continue_branch(spec: ModelSpec, g: Grid,
     the critical eigenpair) and :class:`ValueError` when the simplicity
     certificate fails.  A corrector that stalls or meets a singular bordered
     system never raises: the step is halved, and the stop reason is recorded
-    on the returned branch.
+    on the returned branch.  The continuation settings (``t0`` to ``pos_tol``
+    and ``lambda_max_factor``) are read from ``spec``.
     """
-    p = params if params is not None else ContinuationParams.from_spec(spec)
     bif = bifurcation_point(spec, g)
-    if p.lambda_max_factor is not None:
-        p = replace(p, lambda_max=p.lambda_max_factor * bif.lambda0)
+    lambda_max = (spec.lambda_max if spec.lambda_max_factor is None
+                  else spec.lambda_max_factor * bif.lambda0)
     cert = check_simplicity(bif.perron, spec.simplicity_tol, spec.gap_tol)
     if not cert.passed:
         raise ValueError(
@@ -380,7 +350,7 @@ def continue_branch(spec: ModelSpec, g: Grid,
     # halving the amplitude if the corrector misses
     amplitude_constraint = AffineConstraint(0.0, g.w_x * psi0)
     first = None
-    t = p.t0
+    t = spec.t0
     for _ in range(8):
         try:
             first = newton_correct(
@@ -392,7 +362,7 @@ def continue_branch(spec: ModelSpec, g: Grid,
             t *= 0.5
     if first is None:
         return make_branch([], "step_failure", [])
-    verdict = _box_verdict(first, p)
+    verdict = _box_verdict(first, lambda_max, spec)
     if verdict is not None:
         return make_branch([], verdict, [])
 
@@ -401,10 +371,10 @@ def continue_branch(spec: ModelSpec, g: Grid,
     tangents: list[tuple[float, np.ndarray]] = []
     prev_lam, prev_v, prev_U = lam0, np.zeros(g.n_x), np.zeros(g.n_x)
     current, current_U = first, total_population(first.u, g)
-    ds = p.ds0
+    ds = spec.ds0
 
     while True:
-        if len(points) >= p.max_points:
+        if len(points) >= spec.max_points:
             return make_branch(points, "max_points", tangents)
 
         dlam = current.lam - prev_lam
@@ -426,10 +396,10 @@ def continue_branch(spec: ModelSpec, g: Grid,
                 break
             except (StepFailureError, SingularSystemError):
                 ds *= 0.5
-                if ds < p.ds_min:
+                if ds < spec.ds_min:
                     return make_branch(points, "step_failure", tangents)
 
-        verdict = _box_verdict(accepted, p)
+        verdict = _box_verdict(accepted, lambda_max, spec)
         if verdict is not None:
             return make_branch(points, verdict, tangents)
 
@@ -438,7 +408,7 @@ def continue_branch(spec: ModelSpec, g: Grid,
         accepted = replace(accepted, arclength=current.arclength + step_len)
         points.append(accepted)
         if accepted.diagnostics.newton_iters <= 3:
-            ds = min(2.0 * ds, p.ds_max)
+            ds = min(2.0 * ds, spec.ds_max)
         prev_lam, prev_v, prev_U = current.lam, current.v, current_U
         current, current_U = accepted, total_population(accepted.u, g)
 

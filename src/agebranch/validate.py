@@ -25,7 +25,6 @@ from .model import (
 )
 from .operators import advance_cohorts, birth_functional, next_generation_operator
 from .solver import jacobian, quasilinear_march
-from .spectral import bifurcation_point
 
 
 @dataclass(frozen=True)
@@ -110,23 +109,3 @@ def kernel_dimension(lam: float, v: SpatialField, spec: ModelSpec, g: Grid) -> K
     return KernelReport(dim=dim, dim_eigen=dim_eigen, singular_values=sv,
                         singular_values_eigen=sv_eig, agree=bool(dim == dim_eigen))
 
-
-@dataclass(frozen=True)
-class TransversalityCertificate:
-    pairing: float
-    simplicity_tol: float
-    passed: bool
-    lambda0: float
-
-
-def transversality_check(spec: ModelSpec, g: Grid) -> TransversalityCertificate:
-    """Certify the simple transversal crossing at the bifurcation point.
-
-    The crossing direction pairs nontrivially against the left null vector
-    exactly when the left-right eigenvector pairing of the return map is
-    nonzero; the certificate reports that pairing.
-    """
-    bif = bifurcation_point(spec, g)
-    pairing, tol = bif.perron.pairing, spec.simplicity_tol
-    return TransversalityCertificate(pairing=pairing, simplicity_tol=tol,
-                                     passed=bool(pairing > tol), lambda0=bif.lambda0)

@@ -6,13 +6,13 @@ command-line pipeline, so the same artifacts cover the CSV determinism check.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from agebranch import (
-    ContinuationParams,
     branch_invariant_check,
     build_grid,
     continue_branch,
@@ -25,7 +25,7 @@ from agebranch.cli import read_branch_outputs, run_command, spec_from_config
 from agebranch.oracles import closed_form_critical_intensity, equilibrium_intensity
 from agebranch.solver import BranchPoint, PointDiagnostics
 from agebranch.spectral import bifurcation_point, check_simplicity
-from agebranch.validate import kernel_dimension, simulate_transient, transversality_check
+from agebranch.validate import kernel_dimension, simulate_transient
 
 CONFIG_PATH = Path(__file__).parents[1] / "configs" / "logistic_death.json"
 
@@ -144,8 +144,7 @@ def test_criterion_4_tangent_property(logistic_setup):
     spec, g = logistic_setup
 
     def first_point_angle(t0):
-        params = ContinuationParams.from_spec(spec, t0=t0, max_points=1)
-        branch = continue_branch(spec, g, params)
+        branch = continue_branch(replace(spec, t0=t0, max_points=1), g)
         v = branch.points[0].v
         cos = weighted_inner(v, branch.phi0, g) / np.sqrt(
             weighted_inner(v, v, g) * weighted_inner(branch.phi0, branch.phi0, g))
@@ -172,13 +171,13 @@ def test_criterion_6_oracle_equivalence(invariant_reports, logistic_setup):
 
 def test_criterion_7_kernel_structure(logistic_setup):
     spec, g = logistic_setup
-    lam0 = bifurcation_point(spec, g).lambda0
-    kernel = kernel_dimension(lam0, np.zeros(g.n_x), spec, g)
+    bif = bifurcation_point(spec, g)
+    kernel = kernel_dimension(bif.lambda0, np.zeros(g.n_x), spec, g)
     small = int(np.sum(kernel.singular_values < 1e-8 * kernel.singular_values[0]))
-    cert = transversality_check(spec, g)
-    ok = small == 1 and kernel.dim == kernel.dim_eigen == 1 and cert.pairing >= 1e-8
+    pairing = bif.perron.pairing
+    ok = small == 1 and kernel.dim == kernel.dim_eigen == 1 and pairing >= 1e-8
     report(7, ok, f"{small} singular value(s) below threshold, "
-                  f"dims {kernel.dim}/{kernel.dim_eigen}, pairing {cert.pairing:.3f}")
+                  f"dims {kernel.dim}/{kernel.dim_eigen}, pairing {pairing:.3f}")
 
 
 def test_criterion_8_positivity(branch_points, logistic_setup):

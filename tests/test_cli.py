@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import agebranch
-from agebranch import Branch, build_grid, make_spec
+from agebranch import Branch, ModelSpec, build_grid, make_spec
 from agebranch.cli import (
     BRANCH_CSV_COLUMNS,
     CONFIG_SCHEMA,
@@ -202,8 +203,20 @@ def test_spec_from_config_applies_sections_and_scale():
     spec = spec_from_config(SMALL_LOGISTIC)
     assert spec.n_x == 10 and spec.n_a == 30
     assert spec.t0 == 0.01 and spec.ds_max == 0.4
+    assert spec.lambda_max_factor == 1.4
     doubled = spec_from_config(SMALL_LOGISTIC, resolution_scale=2)
     assert doubled.n_x == 20 and doubled.n_a == 60
+    assert doubled.lambda_max_factor == 1.4
+
+
+def test_every_section_key_is_a_spec_field_or_ignored():
+    fields = {f.name for f in dataclasses.fields(ModelSpec)}
+    for section in ("model", "continuation"):
+        for key, schema in CONFIG_SCHEMA["properties"][section]["properties"].items():
+            if "accepted and ignored" in schema.get("description", ""):
+                assert key not in fields, key
+            else:
+                assert key in fields or key in ("family", "params"), key
 
 
 def test_bifpoint_reports_the_closed_form(tmp_path, capsys):
@@ -293,7 +306,7 @@ def test_box_below_critical_gives_empty_branch(tmp_path):
 def test_termination_exit_codes(tmp_path, monkeypatch, termination, expected):
     import agebranch.cli as cli
 
-    def fake_continue(spec, g, params=None):
+    def fake_continue(spec, g):
         return Branch(points=[], termination=termination, tangent_history=[],
                       lambda0=1.0, phi0=np.ones(g.n_x), psi0=np.ones(g.n_x))
 
@@ -410,6 +423,28 @@ def test_simulate_names_a_missing_or_invalid_input(tmp_path, capsys, flag, conte
     err = capsys.readouterr().err
     assert str(path) in err
     assert ("cannot read" if content is None else "invalid JSON") in err
+
+
+@pytest.mark.parametrize("u", [1.0, [1.0, 2.0], [[1.0, 2.0]]], ids=["scalar", "1d", "2d"])
+def test_simulate_names_a_field_file_with_a_misshapen_u(tmp_path, capsys, u):
+    cfg_path = write_cfg(tmp_path, SMALL_LOGISTIC)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"u": u}))
+    assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
+                        "--field", str(path), "--lam", "1.0"]) == 1
+    assert f"error: {path}: u has shape {np.shape(u)}, expected (31, 10)" in (
+        capsys.readouterr().err)
+
+
+def test_verify_names_a_snapshot_with_a_misshapen_trace(small_run, tmp_path, capsys):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    path = copy / "snapshots" / "point_00001.json"
+    payload = json.loads(path.read_text())
+    payload["v"] = payload["v"][:3]
+    path.write_text(json.dumps(payload))
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 1
+    assert "error: snapshot 1 trace has shape (3,), expected (10,)" in capsys.readouterr().err
 
 
 def test_simulate_names_a_field_file_without_u(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,26 @@ def test_derivative_fallback_is_flagged_and_accurate():
 
     family = make_spec("density_diffusion")
     assert not family.derivatives_from_fd
+
+
+def test_derivative_fallback_survives_replace():
+    spec = ModelSpec(
+        d=lambda z: 1.0 + z**2,
+        mu=lambda z, a: np.full_like(z, 1.0),
+        b=lambda z, a: np.ones_like(z),
+        d_lower=1.0,
+    )
+    z = np.linspace(0.0, 2.0, 9)
+    resized = replace(spec, n_x=8)
+    assert resized.derivatives_from_fd
+    assert resized.d_prime is spec.d_prime
+    # a replaced coefficient gets the difference of the new function
+    steeper = replace(spec, d=lambda z: 1.0 + 3.0 * z**2)
+    assert steeper.derivatives_from_fd
+    assert np.allclose(steeper.eval_d_prime(z), 6.0 * z, atol=1e-8)
+
+    family = make_spec("density_diffusion")
+    assert not replace(family, n_x=8, lambda_max_factor=1.5).derivatives_from_fd
 
 
 def test_family_parameter_validation():

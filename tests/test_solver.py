@@ -6,7 +6,6 @@ import pytest
 
 from agebranch import (
     AffineConstraint,
-    ContinuationParams,
     ModelSpec,
     branch_invariant_check,
     build_grid,
@@ -50,9 +49,8 @@ def logistic():
 def logistic_branch(logistic):
     spec, g = logistic
     lam0 = bifurcation_point(spec, g).lambda0
-    params = ContinuationParams.from_spec(
-        spec, lambda_max=1.8 * lam0, ds0=0.1, ds_max=0.4, max_points=40)
-    return continue_branch(spec, g, params)
+    spec = replace(spec, lambda_max=1.8 * lam0, ds0=0.1, ds_max=0.4, max_points=40)
+    return continue_branch(spec, g)
 
 
 # -- quasilinear march ---------------------------------------------------------
@@ -502,9 +500,8 @@ def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_
 def test_linear_branch_is_vertical(constant_spec, constant_grid):
     spec, g = constant_spec, constant_grid
     lam0 = bifurcation_point(spec, g).lambda0
-    params = ContinuationParams.from_spec(spec, u_norm_max=1.5, max_points=40,
-                                          ds0=0.05, ds_max=0.25)
-    branch = continue_branch(spec, g, params)
+    spec = replace(spec, u_norm_max=1.5, max_points=40, ds0=0.05, ds_max=0.25)
+    branch = continue_branch(spec, g)
     assert branch.termination == "box_norm"
     assert len(branch.points) >= 3
     for pt in branch.points:
@@ -580,8 +577,7 @@ def test_branch_turns_the_fold_to_the_box():
 def test_box_excluding_the_branch_gives_empty_run(logistic):
     spec, g = logistic
     lam0 = bifurcation_point(spec, g).lambda0
-    params = ContinuationParams.from_spec(spec, lambda_max=0.9 * lam0)
-    branch = continue_branch(spec, g, params)
+    branch = continue_branch(replace(spec, lambda_max=0.9 * lam0), g)
     assert branch.termination == "box_lambda"
     assert branch.points == []
 

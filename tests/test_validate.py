@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from agebranch import (
-    ContinuationParams,
     build_grid,
     continue_branch,
     field_norm,
@@ -13,7 +14,7 @@ from agebranch import (
 from agebranch.errors import PositivityError
 from agebranch.operators import assemble_elliptic, birth_functional
 from agebranch.spectral import bifurcation_point, check_simplicity, perron_eigenpair
-from agebranch.validate import kernel_dimension, simulate_transient, transversality_check
+from agebranch.validate import kernel_dimension, simulate_transient
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +27,8 @@ def logistic_small():
 def short_branch(logistic_small):
     spec, g = logistic_small
     lam0 = bifurcation_point(spec, g).lambda0
-    params = ContinuationParams.from_spec(spec, lambda_max=1.5 * lam0, max_points=6,
-                                          ds0=0.1, ds_max=0.4)
-    return continue_branch(spec, g, params)
+    spec = replace(spec, lambda_max=1.5 * lam0, max_points=6, ds0=0.1, ds_max=0.4)
+    return continue_branch(spec, g)
 
 
 def test_zero_data_stays_zero(logistic_small):
@@ -179,19 +179,19 @@ def test_kernel_counts_agree_at_random_points(logistic_small, rng):
 # -- transversality ----------------------------------------------------------------
 
 def test_transversality_for_symmetric_model(constant_spec, constant_grid):
-    cert = transversality_check(constant_spec, constant_grid)
-    assert cert.passed
-    assert abs(cert.pairing - 1.0) <= 1e-9
+    pairing = bifurcation_point(constant_spec, constant_grid).perron.pairing
+    assert pairing > constant_spec.simplicity_tol
+    assert abs(pairing - 1.0) <= 1e-9
 
 
 def test_transversality_for_logistic_model(logistic_small):
     spec, g = logistic_small
-    cert = transversality_check(spec, g)
-    assert cert.passed
-    assert cert.pairing >= 1e-8
+    pairing = bifurcation_point(spec, g).perron.pairing
+    assert pairing > spec.simplicity_tol
+    assert pairing >= 1e-8
     # frozen from the first verified run: the zero-density return map of this
     # family is weighted-self-adjoint, so the pairing sits at one
-    assert abs(cert.pairing - 1.0) <= 1e-9
+    assert abs(pairing - 1.0) <= 1e-9
 
 
 def test_jordan_block_radius_fails_transversality():
