@@ -29,6 +29,7 @@ from .errors import (
 )
 from .model import (
     FAMILY_NAMES,
+    Grid,
     ModelSpec,
     build_grid,
     check_age_space,
@@ -286,6 +287,15 @@ def _require_keys(payload, keys, path: Path, what: str) -> None:
             node = node[part]
 
 
+def _number(payload: dict, key: str, path: Path, what: str) -> float:
+    """``payload[key]`` as a float; anything but a finite JSON number (a
+    string, a bool, null, NaN) is a ConfigError naming ``path`` and ``key``."""
+    violation = _schema_violation(payload[key], {"type": "number"})
+    if violation is not None:
+        raise ConfigError(f"{path}: {what} '{key}': {violation[1]}")
+    return float(payload[key])
+
+
 def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
     """Load branch_meta.json, the CSV rows and the point snapshots; a missing,
     invalid or incomplete file is a ConfigError naming its path (and the line,
@@ -317,16 +327,15 @@ def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
         snap_path = out / "snapshots" / f"point_{row['index']:05d}.json"
         snapshot = _read_json(snap_path, "snapshot")
         _require_keys(snapshot, _SNAPSHOT_KEYS, snap_path, "snapshot")
+        for key in ("lambda", "arclength"):
+            snapshot[key] = _number(snapshot, key, snap_path, "snapshot")
         snapshots.append(snapshot)
     return meta, rows, snapshots
 
 
 # -- subcommands ---------------------------------------------------------------
 
-def _cmd_bifpoint(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg, args.resolution_scale)
-    g = build_grid(spec)
+def _cmd_bifpoint(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     bif = bifurcation_point(spec, g)
     cert = check_simplicity(bif.perron, spec.simplicity_tol, spec.gap_tol)
 
@@ -364,10 +373,7 @@ _TERMINATION_EXIT = {
 }
 
 
-def _cmd_continue(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg, args.resolution_scale)
-    g = build_grid(spec)
+def _cmd_continue(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     branch = continue_branch(spec, g)
     out = Path(args.out)
     write_branch_outputs(branch, out, cfg, args.seed)
@@ -385,10 +391,7 @@ def _check(results: list, name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
-def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg, args.resolution_scale)
-    g = build_grid(spec)
+def _cmd_verify(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     meta, rows, snapshots = read_branch_outputs(args.out)
     results: list[bool] = []
 
@@ -399,7 +402,7 @@ def _cmd_verify(args) -> int:
         i = row["index"]
         v = check_spatial(snap["v"], g, f"snapshot {i} trace")
         u = check_age_space(snap["u"], g, f"snapshot {i}")
-        lam = float(snap["lambda"])
+        lam = snap["lambda"]
         diags = PointDiagnostics(
             residual_norm=row["residual_norm"],
             min_u=row["min_u"],
@@ -414,15 +417,14 @@ def _cmd_verify(args) -> int:
         U = total_population(u, g)
         resid = trace_norm(v - birth_functional(U, u, lam, spec, g), g)
         roundtrip = (close(lam, row["lambda"])
-                     and close(float(snap["arclength"]), row["arclength"])
+                     and close(snap["arclength"], row["arclength"])
                      and close(resid, row["residual_norm"])
                      and close(field_norm(u, g), row["u_norm"])
                      and close(float(u.min()), row["min_u"])
                      and close(report.radius, row["r_Q_u"]))
         _check(results, f"point {i} roundtrip", roundtrip,
                f"residual {_fmt(resid)} vs CSV {_fmt(row['residual_norm'])}")
-        _check(results, f"point {i} radius identity",
-               report.trivial or report.radius_ok,
+        _check(results, f"point {i} radius identity", report.radius_ok,
                f"|lam*r - 1| = {_fmt(report.radius_defect)}")
         _check(results, f"point {i} positivity", report.positivity_ok,
                f"min_u = {_fmt(report.min_u)}")
@@ -451,11 +453,7 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg, args.resolution_scale)
-    g = build_grid(spec)
-
+def _cmd_simulate(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     path = args.snapshot if args.snapshot is not None else args.field
     if path is None:
         raise ConfigError("simulate needs --snapshot or --field")
@@ -464,11 +462,12 @@ def _cmd_simulate(args) -> int:
     if not isinstance(payload, dict) or "u" not in payload:
         raise ConfigError(f"{path}: no 'u' entry with the age-space field")
     u0 = check_age_space(payload["u"], g, f"{path}: u")
-    lam = payload.get("lambda") if args.lam is None else args.lam
+    lam = args.lam
     if lam is None:
-        raise ConfigError(f"{path}: simulate needs an intensity: --lam or a "
-                          "'lambda' entry in the file")
-    lam = float(lam)
+        if "lambda" not in payload:
+            raise ConfigError(f"{path}: simulate needs an intensity: --lam or a "
+                              "'lambda' entry in the file")
+        lam = _number(payload, "lambda", path, "simulate input")
 
     start_norm = field_norm(u0, g)
     state = simulate_transient(u0, lam, args.steps, spec, g)
@@ -488,10 +487,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg, args.resolution_scale)
-    g = build_grid(spec)
+def _cmd_oracle(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     p = spec.family_params
     mu0, b0 = p["mu0"], p["b0"]
 
@@ -576,7 +572,9 @@ _COMMANDS = {
 def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = load_config(args.config)
+        spec = spec_from_config(cfg, args.resolution_scale)
+        return _COMMANDS[args.command](args, cfg, spec, build_grid(spec))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4

@@ -302,50 +302,31 @@ def family_parameters(family: str, params: dict | None = None) -> dict:
 def make_spec(family: str, params: dict | None = None, **spec_kwargs) -> ModelSpec:
     """Build a ModelSpec from a named coefficient family.
 
-    ``constant``           d = d0, mu = mu0, b = b0
-    ``logistic_death``     d = d0, mu = mu0 + kappa*z, b = b0
-    ``density_diffusion``  d = d0 + d1*z^2, mu = mu0 + kappa*z, b = b0
+    Every family has d = d0 + d1*z^2, mu = mu0 + kappa*z, b = b0; a family
+    fixes at 0 the parameters it lacks:
+
+    ``constant``           d1 = kappa = 0
+    ``logistic_death``     d1 = 0
+    ``density_diffusion``  all five parameters free
 
     Keyword arguments are passed through to :class:`ModelSpec` (grid sizes,
     domain bounds, tolerances, continuation parameters).
     """
     p = family_parameters(family, params)
-    d0, mu0, b0 = p["d0"], p["mu0"], p["b0"]
+    d0, d1, mu0, kappa, b0 = (p.get(k, 0.0) for k in ("d0", "d1", "mu0", "kappa", "b0"))
     if d0 <= 0.0:
         raise ValueError("d0 must be positive")
-
-    if family == "constant":
-        coeffs = dict(
-            d=lambda z: np.full_like(np.asarray(z, float), d0),
-            d_prime=lambda z: np.zeros_like(np.asarray(z, float)),
-            mu=lambda z, a: np.full_like(np.asarray(z, float), mu0),
-            mu_z=lambda z, a: np.zeros_like(np.asarray(z, float)),
-        )
-    elif family == "logistic_death":
-        kappa = p["kappa"]
-        coeffs = dict(
-            d=lambda z: np.full_like(np.asarray(z, float), d0),
-            d_prime=lambda z: np.zeros_like(np.asarray(z, float)),
-            mu=lambda z, a: mu0 + kappa * np.asarray(z, float),
-            mu_z=lambda z, a: np.full_like(np.asarray(z, float), kappa),
-        )
-    else:  # density_diffusion; d0 + d1*z^2 stays >= d0 for every probed z
-        d1, kappa = p["d1"], p["kappa"]
-        if d1 < 0.0:
-            raise ValueError("d1 must be nonnegative")
-        coeffs = dict(
-            d=lambda z: d0 + d1 * np.asarray(z, float) ** 2,
-            d_prime=lambda z: 2.0 * d1 * np.asarray(z, float),
-            mu=lambda z, a: mu0 + kappa * np.asarray(z, float),
-            mu_z=lambda z, a: np.full_like(np.asarray(z, float), kappa),
-        )
-
+    if d1 < 0.0:  # then d0 + d1*z^2 stays >= d0 for every probed z
+        raise ValueError("d1 must be nonnegative")
     return ModelSpec(
+        d=lambda z: d0 + d1 * np.asarray(z, float) ** 2,
+        d_prime=lambda z: 2.0 * d1 * np.asarray(z, float),
+        mu=lambda z, a: mu0 + kappa * np.asarray(z, float),
+        mu_z=lambda z, a: np.full_like(np.asarray(z, float), kappa),
         b=lambda z, a: np.full_like(np.asarray(z, float), b0),
         b_z=lambda z, a: np.zeros_like(np.asarray(z, float)),
         d_lower=d0,
         family=family,
         family_params=p,
-        **coeffs,
         **spec_kwargs,
     )

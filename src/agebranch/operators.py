@@ -8,11 +8,11 @@ preserves nonnegativity unconditionally.
 
 Every age march runs through one kernel: the shifted systems of all ages are
 tabulated once per frozen population (one coefficient bound check), and each
-age step is one LAPACK ``dptsv`` (LDL^T) solve in place, for a single trace,
-a block of columns or a stack of independent systems alike.  ``W A`` is
-symmetric, so each step ``M = I + da * A`` is solved as the SPD M-matrix
-``S = D M D^-1``, ``D = diag(1/sqrt2, 1, ..., 1, 1/sqrt2)``, on the state
-``D w`` (Golub & Van Loan, Matrix Computations, 4.3).
+age step is one LAPACK ``dptsv`` (LDL^T) solve in place, for a single trace
+or a block of columns alike.  ``W A`` is symmetric, so each step
+``M = I + da * A`` is solved as the SPD M-matrix ``S = D M D^-1``,
+``D = diag(1/sqrt2, 1, ..., 1, 1/sqrt2)``, on the state ``D w`` (Golub & Van
+Loan, Matrix Computations, 4.3).
 """
 
 from __future__ import annotations
@@ -109,23 +109,23 @@ class EllipticOperator:
         return w
 
 
-def _diffusion_bands(U_rows: np.ndarray, spec: ModelSpec, g: Grid):
-    """Symmetric coupling and diagonal of the diffusion part for a stack of
-    frozen populations, shape (..., n_x); the coupling ``-face / dx^2`` of each
-    face sits in the first n_x - 1 columns.
+def _diffusion_bands(U: np.ndarray, spec: ModelSpec, g: Grid):
+    """Symmetric coupling (n_x - 1,) and diagonal (n_x,) of the diffusion part
+    at the frozen population ``U``; the coupling of each face is
+    ``-face / dx^2``.
 
     Face diffusivities are arithmetic means of nodal values; the ghost-node
     reflection doubles the single face at each boundary row.
     """
-    d_nodes = spec.eval_d(U_rows)
-    face = 0.5 * (d_nodes[..., :-1] + d_nodes[..., 1:])
+    d_nodes = spec.eval_d(U)
+    face = 0.5 * (d_nodes[:-1] + d_nodes[1:])
     inv_dx2 = 1.0 / g.dx**2
 
     coupling = -face * inv_dx2
     diag = np.empty_like(d_nodes)
-    diag[..., 1:-1] = (face[..., :-1] + face[..., 1:]) * inv_dx2
-    diag[..., 0] = 2.0 * face[..., 0] * inv_dx2
-    diag[..., -1] = 2.0 * face[..., -1] * inv_dx2
+    diag[1:-1] = (face[:-1] + face[1:]) * inv_dx2
+    diag[0] = 2.0 * face[0] * inv_dx2
+    diag[-1] = 2.0 * face[-1] * inv_dx2
     return coupling, diag
 
 
@@ -160,20 +160,19 @@ def divergence_form(c_nodes: np.ndarray, w: np.ndarray, g: Grid) -> np.ndarray:
     return out
 
 
-def _age_systems(U_rows: np.ndarray, spec: ModelSpec, g: Grid, ages: np.ndarray):
-    """Symmetrized implicit age-step systems ``S = D (I + da * A(U_i, a)) D^-1``
-    for the rows of ``U_rows`` (m, n_x) at each of ``ages``, as one system of
-    m blocks with zero couplings between them.  Returns the diagonal table
-    (len(ages), m, n_x), that of ``I + da * A`` with ``mu`` tabulated and
-    bound-checked once, and the off-diagonal (m, n_x) with a zero last column:
-    ``da`` times the face coupling, times ``sqrt2`` on the two boundary faces
-    that the Neumann closure doubles."""
-    coupling, dif_diag = _diffusion_bands(U_rows, spec, g)
+def _age_systems(U: np.ndarray, spec: ModelSpec, g: Grid, ages: np.ndarray):
+    """Symmetrized implicit age-step systems ``S = D (I + da * A(U, a)) D^-1``
+    at each of ``ages`` for one frozen population ``U`` (n_x,).  Returns the
+    diagonal table (len(ages), n_x), that of ``I + da * A`` with ``mu``
+    tabulated and bound-checked once, and the off-diagonal (n_x,) with a zero
+    last entry: ``da`` times the face coupling, times ``sqrt2`` on the two
+    boundary faces that the Neumann closure doubles."""
+    coupling, dif_diag = _diffusion_bands(U, spec, g)
     off = np.zeros_like(dif_diag)
-    np.multiply(coupling, g.da, out=off[:, :-1])
-    off[:, [0, -2]] *= _SQRT2
+    np.multiply(coupling, g.da, out=off[:-1])
+    off[[0, -2]] *= _SQRT2
     # 1 + da * (d + mu), in place: the table is the largest array of a march
-    diag = spec.rate_table("mu", U_rows, ages)
+    diag = spec.rate_table("mu", U, ages)
     diag += dif_diag
     diag *= g.da
     diag += 1.0
@@ -190,12 +189,6 @@ def _solve_age_step(diag, off, rhs, overwrite_off: bool = False) -> None:
         raise ArithmeticError(f"implicit age step is not positive definite (dptsv info {info})")
 
 
-def _scale_edges(a: np.ndarray, axis: int, factor: float) -> None:
-    """Multiply the first and last node of ``a`` along its spatial ``axis`` by
-    ``factor`` in place: ``D`` or ``D^-1`` applied to a stack of fields."""
-    np.moveaxis(a, axis, -1)[..., ::a.shape[axis] - 1] *= factor
-
-
 def _check_finite(w: np.ndarray) -> np.ndarray:
     if not np.isfinite(w).all():
         raise ArithmeticError(
@@ -210,80 +203,63 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
     """March the linear age problem from trace ``w0`` by implicit Euler.
 
     Solves ``d_age w + A(U, age) w = source`` with ``w(0) = w0``, where the
-    operator is frozen at the supplied total population ``U`` (age enters only
-    through the death rate).  With ``source=None`` this is the positive
-    evolution from age zero applied to ``w0``; supplying both a source and a
-    trace gives the general inhomogeneous solve.
+    operator is frozen at the supplied total population ``U`` (n_x,) (age
+    enters only through the death rate).  With ``source=None`` this is the
+    positive evolution from age zero applied to ``w0``; supplying both a
+    source and a trace gives the general inhomogeneous solve.
 
-    The input shapes choose the case.  The result has the age axis first and
-    ``source``, when given as an array, has the shape of the result:
+    ``w0`` is one trace (n_x,) or m columns (n_x, m), marched together by one
+    multi-RHS solve per age step.  The result has the age axis first, shape
+    (n_a + 1,) + ``w0.shape``, and ``source``, when given as an array, has
+    the shape of the result.
 
-    * ``U`` (n_x,), ``w0`` (n_x,): one trace; result (n_a + 1, n_x);
-    * ``U`` (n_x,), ``w0`` (n_x, m): m columns under the shared ``U``, one
-      multi-RHS solve per age step; result (n_a + 1, n_x, m);
-    * ``U`` (m, n_x), ``w0`` (m, n_x): row ``i`` marched under its own
-      ``U[i]``, all rows in one block-diagonal solve per age step; result
-      (n_a + 1, m, n_x).
-
-    With ``n_x`` columns under a shared ``U``, ``source`` may instead be the
-    diagonals ``(lower, diag, upper)``, of shapes (n_a + 1, n_x - 1),
-    (n_a + 1, n_x) and (n_a + 1, n_x - 1), of one tridiagonal matrix per age
-    whose column ``j`` is the source of column ``j``: entry ``[j + 1, j]`` of
-    the matrix at age ``k`` is ``lower[k, j]`` and entry ``[j, j + 1]`` is
-    ``upper[k, j]``.  The three diagonals are added in place to the
-    column-major march state before each age step, which is then solved in
-    place; no dense source is formed.
+    With ``n_x`` columns, ``source`` may instead be the diagonals
+    ``(lower, diag, upper)``, of shapes (n_a + 1, n_x - 1), (n_a + 1, n_x)
+    and (n_a + 1, n_x - 1), of one tridiagonal matrix per age whose column
+    ``j`` is the source of column ``j``: entry ``[j + 1, j]`` of the matrix at
+    age ``k`` is ``lower[k, j]`` and entry ``[j, j + 1]`` is ``upper[k, j]``.
+    The three diagonals are added in place to the column-major march state
+    before each age step, which is then solved in place; no dense source is
+    formed.
     """
-    U = np.asarray(U, dtype=float)
-    w0 = np.asarray(w0, dtype=float)
-    blocks = U.ndim == 2
-    if blocks:
-        U = check_shape(U, (U.shape[0], g.n_x), "total populations")
-        w0 = check_shape(w0, U.shape, "initial traces")
-    else:
-        U = check_spatial(U, g, "total population")
-        w0 = check_shape(w0, (g.n_x,) + w0.shape[1:2], "initial trace")
+    U = check_spatial(U, g, "total population")
+    w0 = check_shape(w0, (g.n_x,) + np.shape(w0)[1:2], "initial trace")
     n = g.n_x
-    out_shape = (g.n_a + 1,) + w0.shape
     # the march carries D w column-major, (n_x,) or (n_x, m), so that every
-    # step solves it in place; stacked rows are one flat block system
-    w = np.array(w0.T if blocks else w0, order="F")
-    _scale_edges(w, 0, _RSQRT2)
-    flat = w.reshape(-1, order="F")
-    state = flat if blocks else w
-    out = np.empty((g.n_a + 1,) + state.shape)
+    # step solves it in place
+    w = np.array(w0, order="F")
+    w[::n - 1] *= _RSQRT2
+    out = np.empty((g.n_a + 1,) + w.shape)
     banded = isinstance(source, tuple)
     if banded:
-        if blocks or w0.shape != (n, n):
-            raise ValueError(f"a banded source marches {n} columns under one population, "
-                             f"not initial traces of shape {w0.shape} under {U.shape}")
+        if w0.shape != (n, n):
+            raise ValueError(f"a banded source marches {n} columns, "
+                             f"not initial traces of shape {w0.shape}")
         # scaled once by da and by D (rows 0 and n - 1); entries [1::n+1],
         # [::n+1] and [n::n+1] of the flat state are the sub-, main and
         # superdiagonal, disjoint, so one indexed add per step adds all three
         bands = [g.da * check_shape(band, (g.n_a + 1, n - off), f"source {name}")
                  for band, name, off in zip(source, ("lower", "diag", "upper"), (1, 0, 1))]
         bands[0][:, -1] *= _RSQRT2
-        _scale_edges(bands[1], 1, _RSQRT2)
+        bands[1][:, ::n - 1] *= _RSQRT2
         bands[2][:, 0] *= _RSQRT2
         band_at = np.concatenate([np.arange(start, n * n, n + 1) for start in (1, 0, n)])
         bands = np.concatenate(bands, axis=1)
+        flat = w.reshape(-1, order="F")
     elif source is not None:
-        src = g.da * check_shape(source, out_shape, "source")
-        _scale_edges(src, -1 if blocks else 1, _RSQRT2)
-        src = src.reshape(out.shape)
+        src = g.da * check_shape(source, out.shape, "source")
+        src[:, ::n - 1] *= _RSQRT2
 
-    diag, off = _age_systems(U.reshape(-1, n), spec, g, g.a_nodes)
-    diag = diag.reshape(g.n_a + 1, -1)
-    off = off.ravel()[:-1]
+    diag, off = _age_systems(U, spec, g, g.a_nodes)
+    off = off[:-1]
     for k in range(1, g.n_a + 1):
         if banded:
             flat[band_at] += bands[k]
         elif source is not None:
-            state += src[k]
-        _solve_age_step(diag[k], off, state)
-        out[k] = state
-    out = out.reshape(out_shape)
-    _scale_edges(out, -1 if blocks else 1, _SQRT2)
+            w += src[k]
+        _solve_age_step(diag[k], off, w)
+        out[k] = w
+    out[:, ::n - 1] *= _SQRT2
     out[0] = w0
     return _check_finite(out)
 
@@ -304,7 +280,7 @@ def advance_cohorts(U: SpatialField, u: AgeSpaceField, spec: ModelSpec, g: Grid,
     n = g.n_x
     out = np.empty((g.n_a, n)) if out is None else out
     off = np.empty((g.n_a, n)) if off is None else off
-    diag, off_U = _age_systems(U[None, :], spec, g, g.a_nodes[1:])
+    diag, off_U = _age_systems(U, spec, g, g.a_nodes[1:])
     off[...] = off_U  # dptsv overwrites the buffer with its factor
     out[...] = u[:-1]
     out[:, ::n - 1] *= _RSQRT2

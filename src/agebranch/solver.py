@@ -40,15 +40,6 @@ from .operators import (
 )
 from .spectral import bifurcation_point, check_simplicity, perron_eigenpair
 
-TERMINATION_REASONS = (
-    "box_lambda",
-    "box_norm",
-    "step_failure",
-    "max_points",
-    "left_positive_cone",
-)
-
-
 @dataclass(frozen=True)
 class PointDiagnostics:
     residual_norm: float

@@ -411,6 +411,41 @@ def test_verify_names_a_file_without_an_entry(small_run, tmp_path, capsys, name,
     assert f"config error: {copy / name}: " in err and f"has no '{key}' entry" in err
 
 
+NOT_NUMBERS = pytest.mark.parametrize("value", ["abc", True, None, float("nan")],
+                                      ids=["string", "bool", "null", "nan"])
+
+
+@NOT_NUMBERS
+@pytest.mark.parametrize("key", ["lambda", "arclength"])
+def test_verify_names_a_snapshot_entry_that_is_not_a_number(small_run, tmp_path, capsys,
+                                                            key, value):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    path = copy / "snapshots" / "point_00001.json"
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
+    err = capsys.readouterr().err
+    assert f"config error: {path}: snapshot '{key}': " in err
+    assert "not of type 'number'" in err or "not a finite number" in err
+
+
+@NOT_NUMBERS
+def test_simulate_names_an_input_lambda_that_is_not_a_number(small_run, tmp_path, capsys,
+                                                             value):
+    cfg_path, out, _ = small_run
+    path = tmp_path / "point.json"
+    payload = json.loads((out / "snapshots" / "point_00001.json").read_text())
+    payload["lambda"] = value
+    path.write_text(json.dumps(payload))
+    assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
+                        "--snapshot", str(path), "--steps", "2"]) == 4
+    err = capsys.readouterr().err
+    assert f"config error: {path}: simulate input 'lambda': " in err
+    assert "not of type 'number'" in err or "not a finite number" in err
+
+
 @pytest.mark.parametrize("flag,content", [("--snapshot", None), ("--field", None),
                                           ("--snapshot", "{"), ("--field", '{"u": [1,')])
 def test_simulate_names_a_missing_or_invalid_input(tmp_path, capsys, flag, content):

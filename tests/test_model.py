@@ -5,7 +5,7 @@ import pytest
 
 from agebranch import build_grid, field_norm, make_spec, total_population
 from agebranch.errors import CoefficientBoundError
-from agebranch.model import ModelSpec, family_parameters
+from agebranch.model import FAMILY_NAMES, ModelSpec, family_parameters
 
 
 def test_spatial_nodes_three_point():
@@ -178,6 +178,36 @@ def test_make_spec_passes_overrides_through():
     assert spec.newton_tol == 1e-8
     assert spec.lambda_max == 3.0
     assert spec.family == "constant"
+
+
+# the parameters that each built-in family fixes at 0
+FIXED_AT_ZERO = {"constant": ("d1", "kappa"), "logistic_death": ("d1",),
+                 "density_diffusion": ()}
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_family_coefficients_are_the_documented_formulas(family, rng):
+    # d = d0 + d1 z^2, d' = 2 d1 z, mu = mu0 + kappa z, mu_z = kappa, b = b0,
+    # b_z = 0, with a family's missing parameters read as 0
+    free = set(family_parameters(family))
+    assert free == {"d0", "d1", "mu0", "kappa", "b0"} - set(FIXED_AT_ZERO[family])
+    p = {key: 0.5 + rng.random() for key in free}
+    spec = make_spec(family, p)
+    p.update(dict.fromkeys(FIXED_AT_ZERO[family], 0.0))
+    z = np.concatenate([[0.0, -0.8], 3.0 * rng.random(4)])
+    a = rng.random()
+    expected = {
+        "d": p["d0"] + p["d1"] * z**2,
+        "d_prime": 2.0 * p["d1"] * z,
+        "mu": p["mu0"] + p["kappa"] * z,
+        "mu_z": np.full_like(z, p["kappa"]),
+        "b": np.full_like(z, p["b0"]),
+        "b_z": np.zeros_like(z),
+    }
+    for name, want in expected.items():
+        fun = getattr(spec, name)
+        got = fun(z) if name.startswith("d") else fun(z, a)
+        assert np.array_equal(np.broadcast_to(got, z.shape), want), name
 
 
 # -- rate tables: one broadcast call of the coefficient per table ------------
