@@ -40,8 +40,6 @@ from .solver import (
     full_residual,
     jacobian,
     newton_correct,
-    quasilinear_march,
-    reduced_residual,
 )
 from .spectral import (
     BifurcationPoint,
@@ -99,8 +97,6 @@ __all__ = [
     "newton_correct",
     "next_generation_operator",
     "perron_eigenpair",
-    "quasilinear_march",
-    "reduced_residual",
     "simulate_transient",
     "total_population",
     "trace_norm",

@@ -304,6 +304,7 @@ def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
     meta_path, csv_path = out / "branch_meta.json", out / "branch.csv"
     meta = _read_json(meta_path, "branch metadata")
     _require_keys(meta, ("lambda0",), meta_path, "branch metadata")
+    meta["lambda0"] = _number(meta, "lambda0", meta_path, "branch metadata")
     csv_lines = _read_text(csv_path, "branch CSV").rstrip().splitlines()
     header = ",".join(BRANCH_CSV_COLUMNS)
     if not csv_lines or csv_lines[0] != header:
@@ -440,7 +441,7 @@ def _cmd_verify(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
                f"|lam*Q(u)v - v| = {_fmt(eig_defect)}")
 
     lam0 = meta["lambda0"]
-    kernel = kernel_dimension(lam0, np.zeros(g.n_x), spec, g)
+    kernel = kernel_dimension(lam0, np.zeros(g.n_x), np.zeros(g.n_x), spec, g)
     _check(results, "kernel dimension", kernel.dim == 1 and kernel.agree,
            f"dim = {kernel.dim}, eigen dim = {kernel.dim_eigen}")
     # the crossing is transversal when the left and right null vectors pair
@@ -521,6 +522,17 @@ def _cmd_oracle(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -536,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory")
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded with the outputs")
-        p.add_argument("--resolution-scale", type=int, default=1,
+        p.add_argument("--resolution-scale", type=_positive_int, default=1,
                        dest="resolution_scale",
                        help="multiply n_a and n_x for convergence studies")
 
@@ -553,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--field", default=None, help="JSON file with an 'u' array")
     sim.add_argument("--lam", type=float, default=None,
                      help="intensity override for the transient")
-    sim.add_argument("--steps", type=int, default=100)
+    sim.add_argument("--steps", type=_positive_int, default=100)
 
     common(sub.add_parser("oracle", help="scalar-reduction cross-checks"),
            out_required=False)
@@ -573,8 +585,12 @@ def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        spec = spec_from_config(cfg, args.resolution_scale)
-        return _COMMANDS[args.command](args, cfg, spec, build_grid(spec))
+        try:
+            spec = spec_from_config(cfg, args.resolution_scale)
+            g = build_grid(spec)
+        except ValueError as exc:  # a parameter or domain the model rejects
+            raise ConfigError(f"{args.config}: {exc}") from exc
+        return _COMMANDS[args.command](args, cfg, spec, g)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4

@@ -232,7 +232,10 @@ def build_grid(spec: ModelSpec) -> Grid:
 
 
 def check_shape(a, shape: tuple, name: str = "field") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not an array of numbers") from None
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
     if not np.all(np.isfinite(a)):

@@ -5,8 +5,8 @@ the Neumann diffusion step and the whole problem collapses to a scalar
 recurrence in age: a cohort born with density ``c`` has density
 ``c * (1 + m*da)**(-k)`` at age node ``k``, where ``m`` is the (constant)
 death rate.  These closed forms are kept independent of the operator layer
-and serve as cross-checks for it.  Both scalar root problems are monotone
-in ``U`` and are solved by bisection to the last float.
+and serve as cross-checks for it.  The homogeneous equilibrium's root
+problem is monotone in ``U`` and is solved by bisection to the last float.
 """
 
 from __future__ import annotations
@@ -52,30 +52,14 @@ def equilibrium_intensity(U: float, mu0: float, kappa: float, b0: float, g: Grid
     return 1.0 / (b0 * survival_sum(mu0 + kappa * U, g))
 
 
-def _bisect(f, hi: float) -> float:
-    """Sign change of ``f`` in ``[0, hi]``, where ``f(0) > 0 >= f(hi)``.
-
-    Halves the bracket until its midpoint equals an endpoint, that is, until
-    the two ends are neighbouring floats.
-    """
-    lo, hi = 0.0, float(hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def equilibrium_population(lam: float, mu0: float, kappa: float, b0: float,
                            g: Grid) -> float:
     """Total population of the homogeneous equilibrium at intensity ``lam``.
 
     Root of lam * b0 * S(mu0 + kappa*U) - 1 in U; returns 0 at or below the
     critical intensity.  Requires kappa > 0 so the branch relation is
-    monotone.
+    monotone.  The bracket is halved until its midpoint equals an endpoint,
+    that is, until the two ends are neighbouring floats.
     """
     if kappa <= 0.0:
         raise ValueError("equilibrium_population needs kappa > 0")
@@ -90,26 +74,12 @@ def equilibrium_population(lam: float, mu0: float, kappa: float, b0: float,
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket the homogeneous equilibrium")
-    return _bisect(f, hi)
-
-
-def march_population(amplitude: float, mu0: float, kappa: float, g: Grid) -> float:
-    """Self-consistent total population for a constant trace ``amplitude``.
-
-    Scalar counterpart of the quasilinear fixed point: U = amplitude *
-    S(mu0 + kappa*U).
-    """
-    if amplitude < 0.0:
-        raise ValueError("march_population needs amplitude >= 0")
-
-    def f(U):
-        return amplitude * survival_sum(mu0 + kappa * U, g) - U
-
-    if amplitude == 0.0:
-        return 0.0
-    hi = max(1.0, amplitude * survival_sum(mu0, g))
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket the march fixed point")
-    return _bisect(f, hi)
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid

@@ -25,14 +25,12 @@ from .model import (
     ModelSpec,
     SpatialField,
     check_age_space,
-    check_spatial,
     field_norm,
     total_population,
     trace_norm,
     weighted_inner,
 )
 from .operators import (
-    DenseOperator,
     assemble_elliptic,
     birth_functional,
     evolve,
@@ -104,8 +102,8 @@ def _tangent_source(U: SpatialField, u: AgeSpaceField, spec: ModelSpec,
     return -right * rows[1:], diag, left * rows[:-1]
 
 
-def _residual_jacobian(lam: float, U: SpatialField, u: AgeSpaceField,
-                       spec: ModelSpec, g: Grid) -> np.ndarray:
+def jacobian(lam: float, U: SpatialField, u: AgeSpaceField,
+             spec: ModelSpec, g: Grid) -> np.ndarray:
     """Derivative of ``(R_v, R_U)`` in ``(v, U, lam)`` at ``u = E(U) v``,
     shape (2 n_x, 2 n_x + 1), where ``R_v = v - lam * B(U, u)`` and
     ``R_U = U - int u da``.  ``B`` depends on ``U`` through ``u`` and through
@@ -129,58 +127,13 @@ def _residual_jacobian(lam: float, U: SpatialField, u: AgeSpaceField,
     return J
 
 
-# -- field of a trace --------------------------------------------------------
-
-def _population_newton(v: SpatialField, spec: ModelSpec, g: Grid
-                       ) -> tuple[SpatialField, AgeSpaceField, int]:
-    """Newton on ``R_U = U - int E(U) v da`` at fixed ``v``, from ``U = 0``.
-
-    Returns the population, its field ``E(U) v`` and the number of Newton
-    steps taken; converged when ``|R_U|`` is at or below ``newton_tol``.
-    """
-    v = check_spatial(v, g, "trace")
-    U = np.zeros(g.n_x)
-    rnorm = np.inf
-    for steps in range(spec.max_newton + 1):
-        u = evolve(U, v, spec, g)
-        R_U = U - g.w_a @ u
-        rnorm = trace_norm(R_U, g)
-        if rnorm <= spec.newton_tol:
-            return U, u, steps
-        du_dU = evolve(U, np.zeros((g.n_x, g.n_x)), spec, g,
-                       source=_tangent_source(U, u, spec, g))
-        dRU_dU = np.eye(g.n_x) - np.einsum("k,kij->ij", g.w_a, du_dU)
-        U = U - np.linalg.solve(dRU_dU, R_U)
-    raise StepFailureError(
-        f"population Newton stalled at residual {rnorm:.3e} after "
-        f"{spec.max_newton} iterations",
-        residual_norm=float(rnorm),
-        iterations=spec.max_newton,
-    )
-
-
-def quasilinear_march(v: SpatialField, spec: ModelSpec, g: Grid) -> AgeSpaceField:
-    """Reconstruct the full field whose trace is ``v``.
-
-    The field is the march ``E(U) v`` frozen at the total population ``U``
-    that it reproduces, found by Newton on ``U`` from zero.
-    """
-    return _population_newton(v, spec, g)[1]
-
-
-def reduced_residual(lam: float, v: SpatialField, spec: ModelSpec, g: Grid
-                     ) -> tuple[SpatialField, AgeSpaceField]:
-    """Trace residual ``v - lam * birth(u[v])`` and the reconstruction u[v]."""
-    U, u, _ = _population_newton(v, spec, g)
-    return v - birth_functional(U, u, lam, spec, g), u
-
-
 def full_residual(lam: float, u: AgeSpaceField, spec: ModelSpec, g: Grid) -> AgeSpaceField:
     """Full-grid residual of the fixed-coefficient reformulation.
 
     Moves the quasilinear part to the right-hand side and solves with the
     zero-density operator, each assembled once for all ages by
-    :func:`assemble_elliptic`; an independent oracle for :func:`reduced_residual`.
+    :func:`assemble_elliptic`; an independent oracle for the corrector's
+    residuals ``(R_v, R_U)``, which march the trace alone.
     """
     u = check_age_space(u, g, "field")
     U = total_population(u, g)
@@ -188,21 +141,6 @@ def full_residual(lam: float, u: AgeSpaceField, spec: ModelSpec, g: Grid) -> Age
     src = (assemble_elliptic(zero, g.a_nodes, spec, g).apply(u)
            - assemble_elliptic(U, g.a_nodes, spec, g).apply(u))
     return u - evolve(zero, birth_functional(U, u, lam, spec, g), spec, g, source=src)
-
-
-def jacobian(lam: float, v: SpatialField, spec: ModelSpec, g: Grid) -> DenseOperator:
-    """Jacobian of the trace residual :func:`reduced_residual` at ``(lam, v)``.
-
-    The Schur complement ``dR_v/dv - dR_v/dU (dR_U/dU)^{-1} dR_U/dv`` of the
-    corrector's blocks, taken at the population of the reconstruction of
-    ``v``.  The field depends on ``U`` through the divergence-form
-    sensitivity ``-(d'(U) P w_x)_x + mu_z(U, a) P w`` of the operator in a
-    population direction ``P``, the birth integral also through ``b_z``.
-    """
-    U, u, _ = _population_newton(v, spec, g)
-    J = _residual_jacobian(lam, U, u, spec, g)
-    n = g.n_x
-    return J[:n, :n] - J[:n, n:2 * n] @ np.linalg.solve(J[n:, n:2 * n], J[n:, :n])
 
 
 # -- bordered Newton corrector ----------------------------------------------
@@ -252,7 +190,7 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
         if not converged:
             # unknowns ordered (v, U, lam); the constraint sees (v, lam) only
             bordered = np.vstack([
-                _residual_jacobian(lam, U, u, spec, g),
+                jacobian(lam, U, u, spec, g),
                 np.concatenate([constraint.coeff_v, np.zeros(n), [constraint.coeff_lambda]]),
             ])
             cond = float(np.linalg.cond(bordered))

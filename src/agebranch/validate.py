@@ -23,8 +23,8 @@ from .model import (
     check_spatial,
     field_norm,
 )
-from .operators import advance_cohorts, birth_functional, next_generation_operator
-from .solver import jacobian, quasilinear_march
+from .operators import advance_cohorts, birth_functional, evolve, next_generation_operator
+from .solver import jacobian
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ def simulate_transient(u0: AgeSpaceField, lam: float, n_steps: int,
 
 @dataclass(frozen=True)
 class KernelReport:
-    """SVD rank certificate of the reduced Jacobian, cross-checked against
-    the frozen eigenproblem on traces."""
+    """SVD rank certificate of the corrector's Jacobian in ``(v, U)``,
+    cross-checked against the frozen eigenproblem on traces."""
 
     dim: int
     dim_eigen: int
@@ -89,23 +89,24 @@ class KernelReport:
     agree: bool
 
 
-def kernel_dimension(lam: float, v: SpatialField, spec: ModelSpec, g: Grid) -> KernelReport:
-    """Numerical kernel dimension of the reduced Jacobian at ``(lam, v)``.
+def kernel_dimension(lam: float, v: SpatialField, U: SpatialField, spec: ModelSpec,
+                     g: Grid) -> KernelReport:
+    """Numerical kernel dimension of the corrector's equations at ``(lam, v, U)``.
 
-    Counts singular values below ``rank_tol`` times the largest, and compares
+    Counts singular values below ``rank_tol`` times the largest in the
+    ``(v, U)`` columns of :func:`jacobian` at ``u = E(U) v``, and compares
     with the same count for ``I - lam * Q`` where ``Q`` is the birth-return
-    map frozen at the reconstruction of ``v``.
+    map frozen at ``u``.
     """
     v = check_spatial(v, g, "trace")
-    J = jacobian(lam, v, spec, g)
+    u = evolve(U, v, spec, g)
+    J = jacobian(lam, U, u, spec, g)[:, :2 * g.n_x]
     sv = np.linalg.svd(J, compute_uv=False)
     dim = int(np.sum(sv < spec.rank_tol * sv[0]))
 
-    u = quasilinear_march(v, spec, g)
     eig_op = np.eye(g.n_x) - lam * next_generation_operator(u, spec, g)
     sv_eig = np.linalg.svd(eig_op, compute_uv=False)
     dim_eigen = int(np.sum(sv_eig < spec.rank_tol * sv_eig[0]))
 
     return KernelReport(dim=dim, dim_eigen=dim_eigen, singular_values=sv,
                         singular_values_eigen=sv_eig, agree=bool(dim == dim_eigen))
-

@@ -172,7 +172,7 @@ def test_criterion_6_oracle_equivalence(invariant_reports, logistic_setup):
 def test_criterion_7_kernel_structure(logistic_setup):
     spec, g = logistic_setup
     bif = bifurcation_point(spec, g)
-    kernel = kernel_dimension(bif.lambda0, np.zeros(g.n_x), spec, g)
+    kernel = kernel_dimension(bif.lambda0, np.zeros(g.n_x), np.zeros(g.n_x), spec, g)
     small = int(np.sum(kernel.singular_values < 1e-8 * kernel.singular_values[0]))
     pairing = bif.perron.pairing
     ok = small == 1 and kernel.dim == kernel.dim_eigen == 1 and pairing >= 1e-8

@@ -416,18 +416,22 @@ NOT_NUMBERS = pytest.mark.parametrize("value", ["abc", True, None, float("nan")]
 
 
 @NOT_NUMBERS
-@pytest.mark.parametrize("key", ["lambda", "arclength"])
+@pytest.mark.parametrize("name,key,what", [
+    ("snapshots/point_00001.json", "lambda", "snapshot"),
+    ("snapshots/point_00001.json", "arclength", "snapshot"),
+    ("branch_meta.json", "lambda0", "branch metadata"),
+], ids=["lambda", "arclength", "lambda0"])
 def test_verify_names_a_snapshot_entry_that_is_not_a_number(small_run, tmp_path, capsys,
-                                                            key, value):
+                                                            name, key, what, value):
     cfg_path, out, _ = small_run
     copy = _copy_run(out, tmp_path / "copy")
-    path = copy / "snapshots" / "point_00001.json"
+    path = copy / name
     payload = json.loads(path.read_text())
     payload[key] = value
     path.write_text(json.dumps(payload))
     assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
     err = capsys.readouterr().err
-    assert f"config error: {path}: snapshot '{key}': " in err
+    assert f"config error: {path}: {what} '{key}': " in err
     assert "not of type 'number'" in err or "not a finite number" in err
 
 
@@ -444,6 +448,64 @@ def test_simulate_names_an_input_lambda_that_is_not_a_number(small_run, tmp_path
     err = capsys.readouterr().err
     assert f"config error: {path}: simulate input 'lambda': " in err
     assert "not of type 'number'" in err or "not a finite number" in err
+
+
+@pytest.mark.parametrize("key,name", [("v", "snapshot 1 trace"), ("u", "snapshot 1")],
+                         ids=["v", "u"])
+@pytest.mark.parametrize("value", ["abc", [1.0, "abc"], {"a": 1}], ids=["string", "list", "dict"])
+def test_verify_names_a_snapshot_field_that_is_not_numbers(small_run, tmp_path, capsys,
+                                                           key, name, value):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    path = copy / "snapshots" / "point_00001.json"
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 1
+    assert f"error: {name} is not an array of numbers" in capsys.readouterr().err
+
+
+def test_simulate_names_a_field_file_that_is_not_numbers(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, SMALL_LOGISTIC)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"u": [[1.0, "abc"]]}))
+    assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
+                        "--field", str(path), "--lam", "1.0"]) == 1
+    assert f"error: {path}: u is not an array of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,message", [
+    ({"family": "constant", "params": {"kappa": 1.0}},
+     "family 'constant' has no parameter 'kappa'"),
+    ({"family": "density_diffusion", "params": {"d1": -1.0}}, "d1 must be nonnegative"),
+    ({"family": "logistic_death", "params": {"d0": 0.0}}, "d0 must be positive"),
+    ({"family": "constant", "x_min": 1.0, "x_max": 1.0}, "x_max must exceed x_min"),
+], ids=["kappa_on_constant", "negative_d1", "zero_d0", "empty_interval"])
+def test_a_config_the_model_rejects_exits_4(tmp_path, capsys, model, message):
+    path = write_cfg(tmp_path, {"model": model})
+    assert run_command(["bifpoint", "--config", path]) == 4
+    assert f"config error: {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "--steps", "-3"),
+    ("simulate", "--steps", "0"),
+    ("bifpoint", "--resolution-scale", "0"),
+    ("continue", "--resolution-scale", "-1"),
+])
+def test_counts_below_one_are_rejected_at_parse_time(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    argv = [command, "--config", write_cfg(tmp_path, SMALL_LOGISTIC), "--out", str(out),
+            flag, value]
+    if command == "simulate":
+        field = np.ones((SMALL_LOGISTIC["model"]["n_a"] + 1, SMALL_LOGISTIC["model"]["n_x"]))
+        (tmp_path / "field.json").write_text(json.dumps({"u": field.tolist()}))
+        argv += ["--field", str(tmp_path / "field.json"), "--lam", "1.0"]
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {value} is not a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,content", [("--snapshot", None), ("--field", None),

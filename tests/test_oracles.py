@@ -9,7 +9,6 @@ from agebranch.oracles import (
     equilibrium_intensity,
     equilibrium_population,
     homogeneous_profile,
-    march_population,
     survival_sum,
 )
 
@@ -53,12 +52,6 @@ def test_equilibrium_at_or_below_critical_is_zero(grid):
     assert equilibrium_population(0.5 * lam0, 1.0, 1.0, 1.0, grid) == 0.0
 
 
-def test_march_population_consistency(grid):
-    amp = 0.3
-    U = march_population(amp, 1.0, 1.0, grid)
-    assert abs(U - amp * survival_sum(1.0 + U, grid)) <= 1e-12
-
-
 def _brentq_root(f, hi):
     # scipy's Brent root of a decreasing f with f(0) > 0, to its tightest tolerance
     while f(hi) > 0.0:
@@ -76,10 +69,6 @@ def test_roots_agree_with_brentq(kappa):
         U = equilibrium_population(lam, mu0, kappa, b0, g)
         ref = _brentq_root(lambda x: lam * b0 * survival_sum(mu0 + kappa * x, g) - 1.0, 1.0)
         assert abs(U - ref) <= 1e-12 * ref, (ratio, U, ref)
-    for amp in np.geomspace(1e-6, 100.0, 9):
-        U = march_population(amp, mu0, kappa, g)
-        ref = _brentq_root(lambda x: amp * survival_sum(mu0 + kappa * x, g) - x, 1.0)
-        assert abs(U - ref) <= 1e-12 * ref, (amp, U, ref)
 
 
 def test_unbracketed_equilibrium_raises(grid):
@@ -87,12 +76,6 @@ def test_unbracketed_equilibrium_raises(grid):
     lam = 4.0 / grid.da
     with pytest.raises(RuntimeError, match="failed to bracket"):
         equilibrium_population(lam, 1.0, 1.0, 1.0, grid)
-
-
-def test_march_population_rejects_negative_amplitude(grid):
-    with pytest.raises(ValueError, match="amplitude"):
-        march_population(-0.1, 1.0, 1.0, grid)
-    assert march_population(0.0, 1.0, 1.0, grid) == 0.0
 
 
 def test_profile_starts_at_amplitude(grid):

@@ -16,25 +16,13 @@ from agebranch import (
     make_spec,
     newton_correct,
     next_generation_operator,
-    quasilinear_march,
-    reduced_residual,
     total_population,
     weighted_inner,
 )
 from agebranch.errors import SingularSystemError, StepFailureError
 from agebranch.operators import assemble_elliptic, birth_functional, divergence_form, evolve
-from agebranch.oracles import (
-    equilibrium_intensity,
-    homogeneous_profile,
-    march_population,
-    survival_sum,
-)
-from agebranch.solver import (
-    BranchPoint,
-    _population_newton,
-    _residual_jacobian,
-    _tangent_source,
-)
+from agebranch.oracles import equilibrium_intensity, homogeneous_profile, survival_sum
+from agebranch.solver import BranchPoint, _tangent_source
 from agebranch.spectral import bifurcation_point
 
 
@@ -53,77 +41,68 @@ def logistic_branch(logistic):
     return continue_branch(spec, g)
 
 
-# -- quasilinear march ---------------------------------------------------------
+# -- field of a trace ----------------------------------------------------------
 
 def test_zero_trace_is_fixed_point_in_one_iteration(logistic):
-    # counted in Newton steps on U: the zero start is already the solution
+    # counted in Newton steps of the corrector: the zero start is already the solution
     spec, g = logistic
-    _, u, steps = _population_newton(np.zeros(g.n_x), spec, g)
-    assert np.all(u == 0.0)
-    assert steps == 0
+    zero = np.zeros(g.n_x)
+    pt = newton_correct(0.8, zero, AffineConstraint(1.0, zero), 0.8, spec, g)
+    assert np.all(pt.u == 0.0)
+    assert pt.diagnostics.newton_iters == 0
 
 
 def test_linear_model_needs_no_self_coupling(constant_spec, constant_grid, rng):
-    # the march does not depend on U, so one Newton step on U is exact
+    # the march does not depend on U, so the U columns of the Jacobian are
+    # zero in the trace rows and the identity in the population rows
     g = constant_grid
-    v = rng.random(g.n_x)
-    _, u, steps = _population_newton(v, constant_spec, g)
-    assert steps == 1
-    assert np.allclose(u, evolve(np.zeros(g.n_x), v, constant_spec, g), rtol=1e-12)
+    n = g.n_x
+    v, U = rng.random(n), rng.random(n)
+    u = evolve(U, v, constant_spec, g)
+    assert np.allclose(u, evolve(np.zeros(n), v, constant_spec, g), rtol=1e-12)
+    J = jacobian(1.3, U, u, constant_spec, g)
+    assert np.max(np.abs(J[:, n:2 * n] - np.vstack([np.zeros((n, n)), np.eye(n)]))) <= 1e-12
 
 
-def test_march_matches_scalar_fixed_point(logistic):
+def test_march_matches_scalar_fixed_point(logistic, logistic_branch):
+    # a homogeneous branch point solves the scalar relation U = v * S(mu0 + kappa U)
+    # and its field is the scalar cohort profile under that population
     spec, g = logistic
-    eps = 0.01
-    u = quasilinear_march(np.full(g.n_x, eps), spec, g)
-    U_star = march_population(eps, 1.0, 1.0, g)
-    expected = homogeneous_profile(eps, 1.0 + U_star, g)
-    assert np.max(np.abs(u - expected[:, None])) <= 1e-10
-
-
-def test_march_damps_through_strong_feedback():
-    # kappa this large makes the population feedback dominate the march;
-    # Newton on U has to converge from zero all the same
-    spec = make_spec("logistic_death", {"kappa": 30.0}, n_x=6, n_a=20)
-    g = build_grid(spec)
-    v = np.full(g.n_x, 0.8)
-    u = quasilinear_march(v, spec, g)
-    U_star = march_population(0.8, 1.0, 30.0, g)
-    expected = homogeneous_profile(0.8, 1.0 + 30.0 * U_star, g)
-    assert np.max(np.abs(u - expected[:, None])) <= 1e-9
-
-
-def test_march_budget_exhaustion_raises_step_failure():
-    spec = make_spec("logistic_death", {"kappa": 30.0}, n_x=6, n_a=20, max_newton=1)
-    g = build_grid(spec)
-    with pytest.raises(StepFailureError) as err:
-        quasilinear_march(np.full(g.n_x, 0.8), spec, g)
-    assert err.value.iterations == 1
-    assert err.value.residual_norm > spec.newton_tol
+    for pt in logistic_branch.points[::4]:
+        amp, U = float(np.mean(pt.v)), float(np.mean(total_population(pt.u, g)))
+        assert abs(U - amp * survival_sum(1.0 + U, g)) <= 1e-10
+        expected = homogeneous_profile(amp, 1.0 + U, g)
+        assert np.max(np.abs(pt.u - expected[:, None])) <= 1e-10
 
 
 # -- residuals ------------------------------------------------------------------
 
+def corrector_residual(lam, v, U, spec, g):
+    """(R_v, R_U) assembled here from the march and the birth integral."""
+    u = evolve(U, v, spec, g)
+    return np.concatenate([v - birth_functional(U, u, lam, spec, g),
+                           U - total_population(u, g)])
+
+
 @pytest.mark.parametrize("lam", [-1.0, 0.0, 0.7, 3.0])
 def test_trivial_branch_is_exact(logistic, lam):
     spec, g = logistic
-    R, u = reduced_residual(lam, np.zeros(g.n_x), spec, g)
-    assert np.all(R == 0.0)
-    assert np.all(u == 0.0)
+    assert np.all(corrector_residual(lam, np.zeros(g.n_x), np.zeros(g.n_x), spec, g) == 0.0)
 
 
 def test_eigen_identity_at_the_critical_point(constant_spec, constant_grid):
+    # the constant family's march does not depend on U
     g = constant_grid
     bif = bifurcation_point(constant_spec, g)
-    R, _ = reduced_residual(bif.lambda0, bif.phi0, constant_spec, g)
-    assert np.max(np.abs(R)) <= 2e-10 * np.max(np.abs(bif.phi0))
+    R = corrector_residual(bif.lambda0, bif.phi0, np.zeros(g.n_x), constant_spec, g)
+    assert np.max(np.abs(R[:g.n_x])) <= 2e-10 * np.max(np.abs(bif.phi0))
 
 
 def test_no_birth_returns_the_trace(logistic, rng):
     spec, g = logistic
     v = rng.random(g.n_x)
-    R, _ = reduced_residual(0.0, v, spec, g)
-    assert np.allclose(R, v, rtol=1e-13)
+    R = corrector_residual(0.0, v, rng.random(g.n_x), spec, g)
+    assert np.allclose(R[:g.n_x], v, rtol=1e-13)
 
 
 def test_full_residual_of_zero_field(logistic):
@@ -225,13 +204,6 @@ def fold_model():
     )
 
 
-def corrector_residual(lam, v, U, spec, g):
-    """(R_v, R_U) assembled here from the march and the birth integral."""
-    u = evolve(U, v, spec, g)
-    return np.concatenate([v - birth_functional(U, u, lam, spec, g),
-                           U - total_population(u, g)])
-
-
 def fd_residual_jacobian(lam, v, U, spec, g, h=1e-6):
     """Central differences of (R_v, R_U) in (v, U, lam), column by column."""
     x = np.concatenate([v, U, [lam]])
@@ -249,7 +221,7 @@ def fd_residual_jacobian(lam, v, U, spec, g, h=1e-6):
 
 
 def assert_blocks_match_fd(lam, v, U, spec, g):
-    J = _residual_jacobian(lam, U, evolve(U, v, spec, g), spec, g)
+    J = jacobian(lam, U, evolve(U, v, spec, g), spec, g)
     J_fd = fd_residual_jacobian(lam, v, U, spec, g)
     n = g.n_x
     blocks = {"dR_v/dv": np.s_[:n, :n], "dR_v/dU": np.s_[:n, n:2 * n],
@@ -261,19 +233,25 @@ def assert_blocks_match_fd(lam, v, U, spec, g):
 
 
 def test_jacobian_at_origin_is_eigen_operator(constant_spec, constant_grid):
+    # at zero density the trace rows are I - lam0 * Q0 in v and vanish in U
     g = constant_grid
+    n = g.n_x
     lam0 = bifurcation_point(constant_spec, g).lambda0
-    Q0 = next_generation_operator(np.zeros((g.n_a + 1, g.n_x)), constant_spec, g)
-    expected = np.eye(g.n_x) - lam0 * Q0
-    J = jacobian(lam0, np.zeros(g.n_x), constant_spec, g)
-    assert np.max(np.abs(J - expected)) <= 1e-13
+    zero = np.zeros((g.n_a + 1, n))
+    Q0 = next_generation_operator(zero, constant_spec, g)
+    expected = np.hstack([np.eye(n) - lam0 * Q0, np.zeros((n, n))])
+    J = jacobian(lam0, np.zeros(n), zero, constant_spec, g)
+    assert np.max(np.abs(J[:n, :2 * n] - expected)) <= 1e-13
 
 
 def test_jacobian_without_birth_is_identity(constant_spec, constant_grid, rng):
+    # with lam = 0 the trace rows are the identity in v and zero in U
     g = constant_grid
-    v = rng.random(g.n_x)
-    J = jacobian(0.0, v, constant_spec, g)
-    assert np.max(np.abs(J - np.eye(g.n_x))) <= 1e-9
+    n = g.n_x
+    v, U = rng.random(n), rng.random(n)
+    J = jacobian(0.0, U, evolve(U, v, constant_spec, g), constant_spec, g)
+    expected = np.hstack([np.eye(n), np.zeros((n, n))])
+    assert np.max(np.abs(J[:n, :2 * n] - expected)) <= 1e-9
 
 
 def interior_model(model):
@@ -294,16 +272,6 @@ def test_corrector_blocks_match_fd_at_interior_point(model, rng):
     v = 0.4 + 0.1 * rng.random(g.n_x)
     U = 0.3 + 0.1 * rng.random(g.n_x)
     assert_blocks_match_fd(2.0, v, U, spec, g)
-
-    # the public reduced Jacobian is the Schur complement of the same blocks,
-    # taken at the population that reproduces the trace
-    U_v = total_population(quasilinear_march(v, spec, g), g)
-    J_fd = fd_residual_jacobian(2.0, v, U_v, spec, g)
-    n = g.n_x
-    schur = J_fd[:n, :n] - J_fd[:n, n:2 * n] @ np.linalg.solve(J_fd[n:, n:2 * n],
-                                                                J_fd[n:, :n])
-    J = jacobian(2.0, v, spec, g)
-    assert np.max(np.abs(J - schur)) <= 1e-7 * (1.0 + np.max(np.abs(schur)))
 
 
 def test_corrector_blocks_match_fd_along_branch(logistic, logistic_branch):
@@ -385,7 +353,7 @@ def test_residual_jacobian_matches_dense_source_reference(model, rng, monkeypatc
         return evolve(*args, **kwargs)
 
     monkeypatch.setattr(solver_module, "evolve", counted)
-    J = _residual_jacobian(2.0, U, u, spec, g)
+    J = jacobian(2.0, U, u, spec, g)
     assert len(marches) <= 2
     scale = np.max(np.abs(J_ref))
     assert np.max(np.abs(J - J_ref)) <= 1e-13 * scale
@@ -398,8 +366,8 @@ def test_residual_jacobian_matches_dense_source_reference(model, rng, monkeypatc
 def test_rank_deficiency_at_bifurcation(logistic):
     spec, g = logistic
     lam0 = bifurcation_point(spec, g).lambda0
-    J = jacobian(lam0, np.zeros(g.n_x), spec, g)
-    sv = np.linalg.svd(J, compute_uv=False)
+    J = jacobian(lam0, np.zeros(g.n_x), np.zeros((g.n_a + 1, g.n_x)), spec, g)
+    sv = np.linalg.svd(J[:, :2 * g.n_x], compute_uv=False)
     assert sv[-1] <= 1e-8 * sv[-2]
 
 
@@ -473,9 +441,9 @@ def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_
 
     def counted(*args):
         calls.append(args[0])
-        return _residual_jacobian(*args)
+        return jacobian(*args)
 
-    monkeypatch.setattr(solver_module, "_residual_jacobian", counted)
+    monkeypatch.setattr(solver_module, "jacobian", counted)
     pt = newton_correct(lam_pred, v_pred, constraint, target, spec, g, U=U_cur + ds * tau_U)
     iters = pt.diagnostics.newton_iters
     assert iters >= 2
@@ -486,7 +454,7 @@ def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_
     U = total_population(pt.u, g)
     u = evolve(U, pt.v, spec, g)
     bordered = np.vstack([
-        _residual_jacobian(pt.lam, U, u, spec, g),
+        jacobian(pt.lam, U, u, spec, g),
         np.concatenate([constraint.coeff_v, np.zeros(n), [constraint.coeff_lambda]]),
     ])
     rhs = np.concatenate([pt.v - birth_functional(U, u, pt.lam, spec, g),
@@ -542,8 +510,8 @@ def test_branch_bookkeeping_invariants(logistic, logistic_branch):
     for pt in logistic_branch.points:
         assert pt.diagnostics.residual_norm <= spec.newton_tol
         assert pt.diagnostics.min_u >= -1e-12
-        # the stored field is the fresh reconstruction of the trace
-        assert field_norm(pt.u - quasilinear_march(pt.v, spec, g), g) <= 1e-10
+        # the stored field is the march of the trace under its own population
+        assert field_norm(pt.u - evolve(total_population(pt.u, g), pt.v, spec, g), g) <= 1e-10
 
 
 def test_trace_is_perron_vector_of_frozen_map(logistic, logistic_branch):
@@ -606,7 +574,8 @@ def test_invariant_report_flags_corrupted_point(logistic, logistic_branch):
     spec, g = logistic
     pt = logistic_branch.points[-1]
     bad_v = pt.v * 1.01
-    bad = BranchPoint(lam=pt.lam, v=bad_v, u=quasilinear_march(bad_v, spec, g),
+    bad_u = evolve(total_population(pt.u, g), bad_v, spec, g)
+    bad = BranchPoint(lam=pt.lam, v=bad_v, u=bad_u,
                       arclength=pt.arclength, diagnostics=pt.diagnostics)
     report = branch_invariant_check(bad, spec, g)
     assert not report.passed

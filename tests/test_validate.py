@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from agebranch import (
     make_spec,
     total_population,
 )
+from agebranch.cli import load_config, spec_from_config
 from agebranch.errors import PositivityError
 from agebranch.operators import assemble_elliptic, birth_functional
 from agebranch.spectral import bifurcation_point, check_simplicity, perron_eigenpair
 from agebranch.validate import kernel_dimension, simulate_transient
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -152,16 +156,31 @@ def test_positivity_error_message_path(logistic_small, monkeypatch):
 def test_kernel_is_one_dimensional_at_crossing(logistic_small):
     spec, g = logistic_small
     lam0 = bifurcation_point(spec, g).lambda0
-    report = kernel_dimension(lam0, np.zeros(g.n_x), spec, g)
+    report = kernel_dimension(lam0, np.zeros(g.n_x), np.zeros(g.n_x), spec, g)
     assert report.dim == 1
     assert report.dim_eigen == 1
     assert report.agree
 
 
+@pytest.mark.parametrize("name", ["constant", "logistic_death", "density_diffusion"])
+def test_kernel_certificate_on_shipped_configs(name):
+    # one singular value of the (v, U) Jacobian at the crossing is round-off,
+    # the next is of the order of the largest
+    spec = spec_from_config(load_config(CONFIGS / f"{name}.json"))
+    g = build_grid(spec)
+    lam0 = bifurcation_point(spec, g).lambda0
+    report = kernel_dimension(lam0, np.zeros(g.n_x), np.zeros(g.n_x), spec, g)
+    sv = report.singular_values
+    assert sv.shape == (2 * g.n_x,)
+    assert np.count_nonzero(sv < spec.rank_tol * sv[0]) == 1
+    assert sv[-2] >= 0.1 * sv[0]
+    assert report.dim == report.dim_eigen == 1
+
+
 def test_kernel_is_trivial_off_the_eigenvalue(logistic_small):
     spec, g = logistic_small
     lam0 = bifurcation_point(spec, g).lambda0
-    report = kernel_dimension(0.5 * lam0, np.zeros(g.n_x), spec, g)
+    report = kernel_dimension(0.5 * lam0, np.zeros(g.n_x), np.zeros(g.n_x), spec, g)
     assert report.dim == 0
     assert report.agree
 
@@ -171,8 +190,8 @@ def test_kernel_counts_agree_at_random_points(logistic_small, rng):
     lam0 = bifurcation_point(spec, g).lambda0
     for _ in range(10):
         lam = lam0 * (0.5 + rng.random())
-        v = 0.2 * rng.random(g.n_x)
-        report = kernel_dimension(lam, v, spec, g)
+        v, U = 0.2 * rng.random(g.n_x), 0.2 * rng.random(g.n_x)
+        report = kernel_dimension(lam, v, U, spec, g)
         assert report.agree
 
 
