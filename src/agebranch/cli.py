@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     CoefficientBoundError,
     ConfigError,
@@ -33,27 +31,17 @@ from .model import (
     ModelSpec,
     build_grid,
     check_age_space,
-    check_spatial,
     field_norm,
     make_spec,
-    total_population,
-    trace_norm,
 )
-from .operators import birth_functional, evolve
 from .oracles import (
     closed_form_critical_intensity,
     discrete_critical_intensity,
     equilibrium_population,
 )
-from .solver import (
-    Branch,
-    BranchPoint,
-    PointDiagnostics,
-    branch_invariant_check,
-    continue_branch,
-)
+from .solver import Branch, PointDiagnostics, continue_branch
 from .spectral import bifurcation_point, check_simplicity
-from .validate import kernel_dimension, simulate_transient
+from .validate import fmt17, simulate_transient, verify_branch
 
 _NUMERICAL_ERRORS = (
     CoefficientBoundError,
@@ -68,7 +56,7 @@ _NUMERICAL_ERRORS = (
 BRANCH_CSV_COLUMNS = ("index", "arclength", "lambda", "u_norm", "min_u",
                       "r_Q_u", "residual_norm")
 DRIFT_CSV_COLUMNS = ("step", "t", "drift", "min_u")
-# the snapshot entries that verify reads
+# the snapshot entries of a complete export, required by verify
 _SNAPSHOT_KEYS = ("v", "u", "lambda", "arclength", "diagnostics.newton_iters")
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -171,10 +159,6 @@ def _schema_violation(value, schema: dict, path: tuple = ()):
     return None
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _read_text(path: Path, what: str) -> str:
     """Text of an input file; a missing or unreadable one is a ConfigError."""
     try:
@@ -244,8 +228,8 @@ def write_branch_outputs(branch: Branch, out_dir, cfg: dict, seed: int) -> Path:
     for i, pt in enumerate(branch.points):
         d = pt.diagnostics
         lines.append(",".join([
-            str(i), _fmt(pt.arclength), _fmt(pt.lam), _fmt(d.u_norm),
-            _fmt(d.min_u), _fmt(d.next_gen_radius), _fmt(d.residual_norm),
+            str(i), fmt17(pt.arclength), fmt17(pt.lam), fmt17(d.u_norm),
+            fmt17(d.min_u), fmt17(d.next_gen_radius), fmt17(d.residual_norm),
         ]))
     csv_path = out / "branch.csv"
     csv_path.write_text("\n".join(lines) + "\n")
@@ -287,24 +271,26 @@ def _require_keys(payload, keys, path: Path, what: str) -> None:
             node = node[part]
 
 
-def _number(payload: dict, key: str, path: Path, what: str) -> float:
-    """``payload[key]`` as a float; anything but a finite JSON number (a
-    string, a bool, null, NaN) is a ConfigError naming ``path`` and ``key``."""
-    violation = _schema_violation(payload[key], {"type": "number"})
+def _number(payload: dict, key: str, path: Path, what: str, kind: str = "number"):
+    """``payload[key]`` as a float, or as an int when ``kind`` is "integer";
+    anything but a finite JSON number of that kind (a string, a bool, null,
+    NaN, ``8.0`` for an integer) is a ConfigError naming ``path`` and ``key``."""
+    violation = _schema_violation(payload[key], {"type": kind})
     if violation is not None:
         raise ConfigError(f"{path}: {what} '{key}': {violation[1]}")
-    return float(payload[key])
+    return payload[key] if kind == "integer" else float(payload[key])
 
 
 def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
     """Load branch_meta.json, the CSV rows and the point snapshots; a missing,
     invalid or incomplete file is a ConfigError naming its path (and the line,
-    for a CSV row)."""
+    for a CSV row).  The rows must be indexed ``0 .. n_points - 1`` in order."""
     out = Path(out_dir)
     meta_path, csv_path = out / "branch_meta.json", out / "branch.csv"
     meta = _read_json(meta_path, "branch metadata")
-    _require_keys(meta, ("lambda0",), meta_path, "branch metadata")
+    _require_keys(meta, ("lambda0", "n_points"), meta_path, "branch metadata")
     meta["lambda0"] = _number(meta, "lambda0", meta_path, "branch metadata")
+    n_points = _number(meta, "n_points", meta_path, "branch metadata", "integer")
     csv_lines = _read_text(csv_path, "branch CSV").rstrip().splitlines()
     header = ",".join(BRANCH_CSV_COLUMNS)
     if not csv_lines or csv_lines[0] != header:
@@ -323,6 +309,9 @@ def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
             })
         except ValueError as exc:
             raise ConfigError(f"{csv_path}:{lineno}: {exc}") from exc
+    if [row["index"] for row in rows] != list(range(n_points)):
+        raise ConfigError(f"{csv_path}: {len(rows)} rows, expected the indices "
+                          f"0 .. {n_points - 1} in order ({meta_path.name} n_points)")
     snapshots = []
     for row in rows:
         snap_path = out / "snapshots" / f"point_{row['index']:05d}.json"
@@ -340,10 +329,10 @@ def _cmd_bifpoint(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     bif = bifurcation_point(spec, g)
     cert = check_simplicity(bif.perron, spec.simplicity_tol, spec.gap_tol)
 
-    print(f"lambda0 = {_fmt(bif.lambda0)}")
-    print(f"radius  = {_fmt(bif.perron.radius)}")
-    print(f"phi0    in [{_fmt(bif.phi0.min())}, {_fmt(bif.phi0.max())}]")
-    print(f"simplicity: pairing {_fmt(cert.pairing)}, gap {_fmt(cert.gap)} -> "
+    print(f"lambda0 = {fmt17(bif.lambda0)}")
+    print(f"radius  = {fmt17(bif.perron.radius)}")
+    print(f"phi0    in [{fmt17(bif.phi0.min())}, {fmt17(bif.phi0.max())}]")
+    print(f"simplicity: pairing {fmt17(cert.pairing)}, gap {fmt17(cert.gap)} -> "
           f"{'pass' if cert.passed else 'FAIL'}")
 
     if args.out is not None:
@@ -379,79 +368,21 @@ def _cmd_continue(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     out = Path(args.out)
     write_branch_outputs(branch, out, cfg, args.seed)
     print(f"branch: {len(branch.points)} points, termination {branch.termination}")
-    print(f"lambda0 = {_fmt(branch.lambda0)}")
+    print(f"lambda0 = {fmt17(branch.lambda0)}")
     if branch.points:
         last = branch.points[-1]
-        print(f"last point: lambda = {_fmt(last.lam)}, "
-              f"u_norm = {_fmt(last.diagnostics.u_norm)}")
+        print(f"last point: lambda = {fmt17(last.lam)}, "
+              f"u_norm = {fmt17(last.diagnostics.u_norm)}")
     return _TERMINATION_EXIT[branch.termination]
 
 
-def _check(results: list, name: str, ok: bool, detail: str) -> None:
-    results.append(ok)
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-
-
 def _cmd_verify(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
-    meta, rows, snapshots = read_branch_outputs(args.out)
-    results: list[bool] = []
-
-    def close(a, b):
-        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
-
-    for row, snap in zip(rows, snapshots):
-        i = row["index"]
-        v = check_spatial(snap["v"], g, f"snapshot {i} trace")
-        u = check_age_space(snap["u"], g, f"snapshot {i}")
-        lam = snap["lambda"]
-        diags = PointDiagnostics(
-            residual_norm=row["residual_norm"],
-            min_u=row["min_u"],
-            u_norm=row["u_norm"],
-            next_gen_radius=row["r_Q_u"],
-            newton_iters=snap["diagnostics"]["newton_iters"],
-        )
-        pt = BranchPoint(lam=lam, v=v, u=u, arclength=row["arclength"],
-                         diagnostics=diags)
-        report = branch_invariant_check(pt, spec, g)
-
-        U = total_population(u, g)
-        resid = trace_norm(v - birth_functional(U, u, lam, spec, g), g)
-        roundtrip = (close(lam, row["lambda"])
-                     and close(snap["arclength"], row["arclength"])
-                     and close(resid, row["residual_norm"])
-                     and close(field_norm(u, g), row["u_norm"])
-                     and close(float(u.min()), row["min_u"])
-                     and close(report.radius, row["r_Q_u"]))
-        _check(results, f"point {i} roundtrip", roundtrip,
-               f"residual {_fmt(resid)} vs CSV {_fmt(row['residual_norm'])}")
-        _check(results, f"point {i} radius identity", report.radius_ok,
-               f"|lam*r - 1| = {_fmt(report.radius_defect)}")
-        _check(results, f"point {i} positivity", report.positivity_ok,
-               f"min_u = {_fmt(report.min_u)}")
-        _check(results, f"point {i} oracle residual", report.residual_ok,
-               f"full residual {_fmt(report.full_residual_norm)}")
-
-        # the trace must be an eigenvector of the frozen return map
-        Qv = birth_functional(U, evolve(U, v, spec, g), lam, spec, g)
-        vmax = float(np.max(np.abs(v)))
-        eig_defect = float(np.max(np.abs(Qv - v)))
-        _check(results, f"point {i} eigen consistency",
-               eig_defect <= spec.radius_identity_tol * max(vmax, 1e-300),
-               f"|lam*Q(u)v - v| = {_fmt(eig_defect)}")
-
-    lam0 = meta["lambda0"]
-    kernel = kernel_dimension(lam0, np.zeros(g.n_x), np.zeros(g.n_x), spec, g)
-    _check(results, "kernel dimension", kernel.dim == 1 and kernel.agree,
-           f"dim = {kernel.dim}, eigen dim = {kernel.dim_eigen}")
-    # the crossing is transversal when the left and right null vectors pair
-    pairing = bifurcation_point(spec, g).perron.pairing
-    _check(results, "transversality", pairing > spec.simplicity_tol,
-           f"pairing = {_fmt(pairing)}")
-
-    all_ok = all(results)
-    print(f"verify: {sum(results)}/{len(results)} checks passed")
-    return 0 if all_ok else 1
+    checks = verify_branch(*read_branch_outputs(args.out), spec, g)
+    for name, ok, detail in checks:
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    passed = sum(ok for _, ok, _ in checks)
+    print(f"verify: {passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 1
 
 
 def _cmd_simulate(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
@@ -478,13 +409,13 @@ def _cmd_simulate(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     lines = [",".join(DRIFT_CSV_COLUMNS)]
     for step, (drift, min_u) in enumerate(zip(state.drift_history, state.min_history)):
         lines.append(",".join([
-            str(step), _fmt((step + 1) * g.da), _fmt(drift), _fmt(min_u),
+            str(step), fmt17((step + 1) * g.da), fmt17(drift), fmt17(min_u),
         ]))
     (out / "drift.csv").write_text("\n".join(lines) + "\n")
 
     total = field_norm(state.field - u0, g) / max(start_norm, 1e-300)
-    print(f"simulate: {args.steps} steps, cumulative drift {_fmt(total)}, "
-          f"min entry {_fmt(state.field.min())}")
+    print(f"simulate: {args.steps} steps, cumulative drift {fmt17(total)}, "
+          f"min entry {fmt17(state.field.min())}")
     return 0
 
 
@@ -494,9 +425,9 @@ def _cmd_oracle(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
 
     lam_cont = closed_form_critical_intensity(mu0, b0, spec.a_max)
     lam_disc = discrete_critical_intensity(mu0, b0, g)
-    print(f"critical intensity (continuum) = {_fmt(lam_cont)}")
-    print(f"critical intensity (grid)      = {_fmt(lam_disc)}")
-    print(f"difference                     = {_fmt(lam_disc - lam_cont)}")
+    print(f"critical intensity (continuum) = {fmt17(lam_cont)}")
+    print(f"critical intensity (grid)      = {fmt17(lam_disc)}")
+    print(f"difference                     = {fmt17(lam_disc - lam_cont)}")
 
     payload = {
         "critical_intensity_continuum": lam_cont,
@@ -512,7 +443,7 @@ def _cmd_oracle(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
             lam = mult * lam_disc
             U = equilibrium_population(lam, mu0, kappa, b0, g)
             table.append({"lambda": lam, "U": U})
-            print(f"  {_fmt(lam)}  {_fmt(U)}")
+            print(f"  {fmt17(lam)}  {fmt17(U)}")
         payload["homogeneous_branch"] = table
 
     if args.out is not None:
@@ -522,15 +453,22 @@ def _cmd_oracle(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _checked(convert, ok, fault: str):
+    """argparse type: ``convert(text)``, rejected with ``fault`` unless ``ok``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{value} {fault}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value >= 1, "is not a positive integer")
+_finite_float = _checked(float, math.isfinite, "is not a finite number")
 
 
 @functools.cache
@@ -563,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sim, out_required=True)
     sim.add_argument("--snapshot", default=None, help="branch point JSON")
     sim.add_argument("--field", default=None, help="JSON file with an 'u' array")
-    sim.add_argument("--lam", type=float, default=None,
+    sim.add_argument("--lam", type=_finite_float, default=None,
                      help="intensity override for the transient")
     sim.add_argument("--steps", type=_positive_int, default=100)
 

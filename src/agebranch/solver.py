@@ -346,44 +346,53 @@ def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Cross-checks at one branch point: the radius identity of the frozen
-    return map, positivity, and the full-grid residual oracle."""
+    """Cross-checks at one branch point: the radius and eigen identities of the
+    frozen return map, positivity, and the full-grid residual oracle."""
 
     lam: float
     radius: float
     radius_defect: float
+    eigen_defect: float
     min_u: float
     full_residual_norm: float
     trivial: bool
     radius_ok: bool
+    eigen_ok: bool
     positivity_ok: bool
     residual_ok: bool
     passed: bool
 
 
 def branch_invariant_check(pt: BranchPoint, spec: ModelSpec, g: Grid) -> InvariantReport:
-    """Report the defect of ``lam * radius(u) = 1`` and the oracle residual.
+    """Report the defects of ``lam * radius(Q) = 1`` and ``lam * Q v = v``,
+    with ``Q`` the return map frozen at ``u``, and the oracle residual.
 
-    Trivial (zero) points report the radius but are not failed on the
+    Reads ``pt.lam``, ``pt.v`` and ``pt.u`` only.  The eigen defect
+    ``max|lam * Q v - v|`` passes at or below ``radius_identity_tol * max|v|``.
+    Trivial (zero) points report the radius but are not failed on the radius
     identity, which only holds for positive solutions.
     """
     Q = next_generation_operator(pt.u, spec, g)
     radius = perron_eigenpair(Q, weights=g.w_x).radius
     defect = abs(pt.lam * radius - 1.0)
+    eigen_defect = float(np.max(np.abs(pt.lam * (Q @ pt.v) - pt.v)))
     fnorm = field_norm(full_residual(pt.lam, pt.u, spec, g), g)
     trivial = field_norm(pt.u, g) <= 1e-10
     radius_ok = trivial or defect <= spec.radius_identity_tol
+    eigen_ok = eigen_defect <= spec.radius_identity_tol * max(float(np.max(np.abs(pt.v))), 1e-300)
     positivity_ok = bool(pt.u.min() >= -spec.pos_tol)
     residual_ok = bool(fnorm <= 10.0 * spec.newton_tol)
     return InvariantReport(
         lam=pt.lam,
         radius=float(radius),
         radius_defect=float(defect),
+        eigen_defect=eigen_defect,
         min_u=float(pt.u.min()),
         full_residual_norm=float(fnorm),
         trivial=trivial,
         radius_ok=bool(radius_ok),
+        eigen_ok=bool(eigen_ok),
         positivity_ok=positivity_ok,
         residual_ok=residual_ok,
-        passed=bool(radius_ok and positivity_ok and residual_ok),
+        passed=bool(radius_ok and eigen_ok and positivity_ok and residual_ok),
     )

@@ -45,8 +45,6 @@ class PerronResult:
 class SimplicityCertificate:
     pairing: float
     gap: float
-    simplicity_tol: float
-    gap_tol: float
     passed: bool
 
 
@@ -118,18 +116,17 @@ def perron_eigenpair(Q: np.ndarray, weights: np.ndarray | None = None) -> Perron
     )
 
 
-def check_simplicity(res: PerronResult, simplicity_tol: float = 1e-8,
-                     gap_tol: float = 1e-6) -> SimplicityCertificate:
+def check_simplicity(res: PerronResult, simplicity_tol: float,
+                     gap_tol: float) -> SimplicityCertificate:
     """Certificate that the radius is an algebraically simple eigenvalue.
 
-    Reports the left-right eigenvector pairing and the spectral gap; never
-    raises.
+    Reports the left-right eigenvector pairing and the spectral gap, which
+    must exceed ``simplicity_tol`` and ``gap_tol`` (``ModelSpec`` holds the
+    thresholds of a run); never raises.
     """
     return SimplicityCertificate(
         pairing=res.pairing,
         gap=res.gap,
-        simplicity_tol=simplicity_tol,
-        gap_tol=gap_tol,
         passed=bool(res.pairing > simplicity_tol and res.gap > gap_tol),
     )
 

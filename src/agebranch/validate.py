@@ -1,4 +1,4 @@
-"""Independent verification layer: transient runs and kernel certificates.
+"""Independent verification: transient runs, kernel certificates, branch checks.
 
 The transient scheme steps the time-dependent problem with the time step
 locked to the age step, so the aging term is a pure shift along
@@ -22,9 +22,17 @@ from .model import (
     check_age_space,
     check_spatial,
     field_norm,
+    total_population,
+    trace_norm,
 )
 from .operators import advance_cohorts, birth_functional, evolve, next_generation_operator
-from .solver import jacobian
+from .solver import BranchPoint, branch_invariant_check, jacobian
+from .spectral import bifurcation_point
+
+
+def fmt17(x: float) -> str:
+    """``x`` with 17 significant digits, enough to read back the same float."""
+    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,6 @@ class KernelReport:
     dim: int
     dim_eigen: int
     singular_values: np.ndarray
-    singular_values_eigen: np.ndarray
     agree: bool
 
 
@@ -108,5 +115,54 @@ def kernel_dimension(lam: float, v: SpatialField, U: SpatialField, spec: ModelSp
     sv_eig = np.linalg.svd(eig_op, compute_uv=False)
     dim_eigen = int(np.sum(sv_eig < spec.rank_tol * sv_eig[0]))
 
-    return KernelReport(dim=dim, dim_eigen=dim_eigen, singular_values=sv,
-                        singular_values_eigen=sv_eig, agree=bool(dim == dim_eigen))
+    return KernelReport(dim=dim, dim_eigen=dim_eigen, singular_values=sv, agree=dim == dim_eigen)
+
+
+def verify_branch(meta: dict, rows: list[dict], snapshots: list[dict], spec: ModelSpec,
+                  g: Grid) -> list[tuple[str, bool, str]]:
+    """Every check of an exported branch, in order, as ``(name, passed, detail)``.
+
+    The inputs are what ``cli.read_branch_outputs`` returns.  Per point: the
+    CSV row round-trips against the snapshot (to 1e-12 relative), then the
+    four checks of :func:`branch_invariant_check`; then the kernel dimension
+    at ``lambda0`` and the transversality of the crossing.  A snapshot field
+    of the wrong shape raises ``ValueError``.
+    """
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    checks = []
+    for row, snap in zip(rows, snapshots):
+        i = row["index"]
+        v = check_spatial(snap["v"], g, f"snapshot {i} trace")
+        u = check_age_space(snap["u"], g, f"snapshot {i}")
+        lam = snap["lambda"]
+        pt = BranchPoint(lam=lam, v=v, u=u, arclength=snap["arclength"], diagnostics=None)
+        report = branch_invariant_check(pt, spec, g)
+        resid = trace_norm(v - birth_functional(total_population(u, g), u, lam, spec, g), g)
+        roundtrip = (close(lam, row["lambda"])
+                     and close(snap["arclength"], row["arclength"])
+                     and close(resid, row["residual_norm"])
+                     and close(field_norm(u, g), row["u_norm"])
+                     and close(float(u.min()), row["min_u"])
+                     and close(report.radius, row["r_Q_u"]))
+        checks += [
+            (f"point {i} roundtrip", roundtrip,
+             f"residual {fmt17(resid)} vs CSV {fmt17(row['residual_norm'])}"),
+            (f"point {i} radius identity", report.radius_ok,
+             f"|lam*r - 1| = {fmt17(report.radius_defect)}"),
+            (f"point {i} positivity", report.positivity_ok, f"min_u = {fmt17(report.min_u)}"),
+            (f"point {i} oracle residual", report.residual_ok,
+             f"full residual {fmt17(report.full_residual_norm)}"),
+            (f"point {i} eigen consistency", report.eigen_ok,
+             f"|lam*Q(u)v - v| = {fmt17(report.eigen_defect)}"),
+        ]
+
+    kernel = kernel_dimension(meta["lambda0"], np.zeros(g.n_x), np.zeros(g.n_x), spec, g)
+    # the crossing is transversal when the left and right null vectors pair
+    pairing = bifurcation_point(spec, g).perron.pairing
+    return checks + [
+        ("kernel dimension", kernel.dim == 1 and kernel.agree,
+         f"dim = {kernel.dim}, eigen dim = {kernel.dim_eigen}"),
+        ("transversality", pairing > spec.simplicity_tol, f"pairing = {fmt17(pairing)}"),
+    ]

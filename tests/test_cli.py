@@ -395,6 +395,7 @@ def test_verify_names_a_broken_csv_line(small_run, tmp_path, capsys, spoil, wher
     *(("snapshots/point_00001.json", key)
       for key in ("v", "u", "lambda", "arclength", "diagnostics.newton_iters")),
     ("branch_meta.json", "lambda0"),
+    ("branch_meta.json", "n_points"),
 ])
 def test_verify_names_a_file_without_an_entry(small_run, tmp_path, capsys, name, key):
     cfg_path, out, _ = small_run
@@ -409,6 +410,36 @@ def test_verify_names_a_file_without_an_entry(small_run, tmp_path, capsys, name,
     assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
     err = capsys.readouterr().err
     assert f"config error: {copy / name}: " in err and f"has no '{key}' entry" in err
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda lines: lines[:-5],
+    lambda lines: lines + [lines[1]],
+    lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+], ids=["truncated", "row_0_appended", "rows_swapped"])
+def test_verify_names_a_csv_whose_rows_are_not_the_branch(small_run, tmp_path, capsys, spoil):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    csv_path = copy / "branch.csv"
+    csv_path.write_text("".join(line + "\n" for line in spoil(csv_path.read_text().splitlines())))
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
+    n_points = json.loads((copy / "branch_meta.json").read_text())["n_points"]
+    err = capsys.readouterr().err
+    assert f"config error: {csv_path}: " in err
+    assert f"expected the indices 0 .. {n_points - 1} in order" in err
+
+
+@pytest.mark.parametrize("value", [8.0, "8", True, None, float("nan")],
+                         ids=["float", "string", "bool", "null", "nan"])
+def test_verify_names_an_n_points_that_is_not_an_integer(small_run, tmp_path, capsys, value):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    path = copy / "branch_meta.json"
+    payload = json.loads(path.read_text())
+    payload["n_points"] = value
+    path.write_text(json.dumps(payload))
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
+    assert f"config error: {path}: branch metadata 'n_points': " in capsys.readouterr().err
 
 
 NOT_NUMBERS = pytest.mark.parametrize("value", ["abc", True, None, float("nan")],
@@ -505,6 +536,20 @@ def test_counts_below_one_are_rejected_at_parse_time(tmp_path, capsys, command, 
         run_command(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: {value} is not a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_simulate_rejects_a_non_finite_lam_at_parse_time(tmp_path, capsys, value):
+    cfg_path = write_cfg(tmp_path, SMALL_LOGISTIC)
+    field = np.ones((SMALL_LOGISTIC["model"]["n_a"] + 1, SMALL_LOGISTIC["model"]["n_x"]))
+    (tmp_path / "field.json").write_text(json.dumps({"u": field.tolist()}))
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        run_command(["simulate", "--config", cfg_path, "--out", str(out),
+                     "--field", str(tmp_path / "field.json"), f"--lam={value}"])
+    assert exc.value.code == 2
+    assert f"argument --lam: {float(value)} is not a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

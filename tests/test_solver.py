@@ -559,14 +559,18 @@ def test_invariant_report_on_trivial_point(logistic):
     report = branch_invariant_check(pt, spec, g)
     assert report.trivial
     assert report.passed
+    assert report.eigen_ok and report.eigen_defect == 0.0  # v = 0 is an eigenvector
     lam0 = bifurcation_point(spec, g).lambda0
     assert abs(report.radius * lam0 - 1.0) <= 1e-10  # radius is that of zero density
 
 
 def test_invariant_report_on_branch(logistic, logistic_branch):
     spec, g = logistic
-    report = branch_invariant_check(logistic_branch.points[-1], spec, g)
+    pt = logistic_branch.points[-1]
+    report = branch_invariant_check(pt, spec, g)
     assert report.radius_defect <= 1e-6
+    assert report.eigen_defect <= spec.radius_identity_tol * np.max(np.abs(pt.v))
+    assert report.eigen_ok
     assert report.passed
 
 
@@ -580,3 +584,5 @@ def test_invariant_report_flags_corrupted_point(logistic, logistic_branch):
     report = branch_invariant_check(bad, spec, g)
     assert not report.passed
     assert report.radius_defect > 1e-6
+    assert report.eigen_defect > spec.radius_identity_tol * np.max(np.abs(bad_v))
+    assert not report.eigen_ok

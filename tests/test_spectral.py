@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -113,21 +115,30 @@ def test_vanishing_birth_rate_is_rejected():
 
 def test_certificate_for_symmetric_pair():
     res = perron_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    cert = check_simplicity(res)
+    cert = check_simplicity(res, 1e-8, 1e-6)
     assert abs(res.pairing - 1.0) <= 1e-12
     assert abs(res.gap - 2.0 / 3.0) <= 1e-9
     assert cert.passed
 
 
+def test_certificate_takes_its_thresholds_from_the_caller():
+    res = perron_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]))  # gap 2/3
+    with pytest.raises(TypeError):
+        check_simplicity(res)
+    assert not check_simplicity(res, 1e-8, 0.7).passed
+    assert [f.name for f in fields(check_simplicity(res, 1e-8, 1e-6))] == [
+        "pairing", "gap", "passed"]
+
+
 def test_certificate_fails_for_degenerate_spectrum():
     res = perron_eigenpair(2.0 * np.eye(3))
-    cert = check_simplicity(res)
+    cert = check_simplicity(res, 1e-8, 1e-6)
     assert cert.gap <= 1e-12
     assert not cert.passed
 
 
 def test_certificate_for_constant_return_map(constant_spec, constant_grid):
     bif = bifurcation_point(constant_spec, constant_grid)
-    cert = check_simplicity(bif.perron)
+    cert = check_simplicity(bif.perron, 1e-8, 1e-6)
     assert cert.passed
     assert np.allclose(bif.phi0, 1.0, atol=1e-12)

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import copy
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,11 @@ from agebranch import (
     make_spec,
     total_population,
 )
-from agebranch.cli import load_config, spec_from_config
+from agebranch.cli import load_config, read_branch_outputs, spec_from_config, write_branch_outputs
 from agebranch.errors import PositivityError
 from agebranch.operators import assemble_elliptic, birth_functional
 from agebranch.spectral import bifurcation_point, check_simplicity, perron_eigenpair
-from agebranch.validate import kernel_dimension, simulate_transient
+from agebranch.validate import kernel_dimension, simulate_transient, verify_branch
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -160,6 +161,7 @@ def test_kernel_is_one_dimensional_at_crossing(logistic_small):
     assert report.dim == 1
     assert report.dim_eigen == 1
     assert report.agree
+    assert [f.name for f in fields(report)] == ["dim", "dim_eigen", "singular_values", "agree"]
 
 
 @pytest.mark.parametrize("name", ["constant", "logistic_death", "density_diffusion"])
@@ -218,4 +220,52 @@ def test_jordan_block_radius_fails_transversality():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     res = perron_eigenpair(jordan)
     assert abs(res.pairing) < 1e-2
-    assert not check_simplicity(res).passed
+    assert not check_simplicity(res, 1e-8, 1e-6).passed
+
+# -- verify_branch -----------------------------------------------------------------
+
+POINT_CHECKS = ("roundtrip", "radius identity", "positivity", "oracle residual",
+                "eigen consistency")
+
+
+@pytest.fixture(scope="module")
+def exported(short_branch, tmp_path_factory):
+    """The short branch written to disk and read back: (meta, rows, snapshots)."""
+    out = tmp_path_factory.mktemp("exported")
+    write_branch_outputs(short_branch, out, {}, seed=0)
+    return read_branch_outputs(out)
+
+
+def test_verify_branch_passes_every_check_in_order(logistic_small, exported):
+    spec, g = logistic_small
+    meta, rows, snapshots = exported
+    checks = verify_branch(meta, rows, snapshots, spec, g)
+    assert len(rows) > 2  # point 2 is the one spoiled below
+    assert [name for name, _, _ in checks] == [
+        *(f"point {i} {check}" for i in range(len(rows)) for check in POINT_CHECKS),
+        "kernel dimension", "transversality",
+    ]
+    assert all(ok for _, ok, _ in checks)
+    assert all(isinstance(detail, str) and detail for _, _, detail in checks)
+
+
+@pytest.mark.parametrize("failing", ["point 2 roundtrip", "point 2 eigen consistency",
+                                     "point 2 positivity", "point 2 oracle residual",
+                                     "kernel dimension"])
+def test_verify_branch_names_each_spoiled_quantity(logistic_small, exported, failing):
+    spec, g = logistic_small
+    meta, rows, snapshots = copy.deepcopy(exported)
+    row, snap = rows[2], snapshots[2]
+    if failing == "point 2 roundtrip":
+        row["lambda"] *= 1.001
+    elif failing == "point 2 eigen consistency":
+        snap["v"][3] *= 1.01
+    elif failing == "point 2 positivity":
+        snap["u"][5][4] = -1e-3
+    elif failing == "point 2 oracle residual":  # u is no longer the march of its trace
+        snap["u"][5][4] *= 1.01
+    else:  # lambda0 off the crossing
+        meta["lambda0"] *= 1.01
+    failed = [name for name, ok, _ in verify_branch(meta, rows, snapshots, spec, g) if not ok]
+    assert failing in failed
+    assert all(name.startswith("point 2 ") or name == failing for name in failed)
