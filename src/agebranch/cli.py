@@ -85,14 +85,9 @@ CONFIG_SCHEMA = {
                 "a_max": _POSITIVE,
                 "n_x": {"type": "integer", "minimum": 3},
                 "n_a": {"type": "integer", "minimum": 2},
-                "newton_tol": _POSITIVE,
                 "inner_tol": {**_POSITIVE, "description": _IGNORED},
                 "eigen_tol": {**_POSITIVE, "description": _IGNORED_EIGEN},
                 "fd_eps": {**_POSITIVE, "description": _IGNORED},
-                "simplicity_tol": _POSITIVE,
-                "gap_tol": _POSITIVE,
-                "rank_tol": _POSITIVE,
-                "radius_identity_tol": _POSITIVE,
             },
         },
         "continuation": {
@@ -101,13 +96,11 @@ CONFIG_SCHEMA = {
             "properties": {
                 "t0": _POSITIVE,
                 "ds0": _POSITIVE,
-                "ds_min": _POSITIVE,
                 "ds_max": _POSITIVE,
                 "lambda_max": {"type": "number"},
                 "lambda_max_factor": _POSITIVE,
                 "u_norm_max": _POSITIVE,
                 "max_points": {"type": "integer", "minimum": 1},
-                "pos_tol": _POSITIVE,
                 "jac_mode": {"enum": ["fd", "analytic"], "description": _IGNORED},
             },
         },

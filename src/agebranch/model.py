@@ -14,7 +14,7 @@ package is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -51,7 +51,8 @@ def _broadcast(values, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One problem instance: coefficients, domain, grid sizes and tolerances.
+    """One problem instance: coefficients, domain, grid sizes and continuation
+    settings; the tolerances are fixed class constants.
 
     The diffusivity ``d`` takes the local total population ``z`` and must stay
     at or above ``d_lower > 0``; death rate ``mu(z, a)`` and birth rate
@@ -83,29 +84,27 @@ class ModelSpec:
     mu_z: RateFun | None = None
     b_z: RateFun | None = None
 
-    # solver tolerances
-    newton_tol: float = 1e-10
-
     # continuation parameters
     t0: float = 1e-2
     ds0: float = 2e-2
-    ds_min: float = 1e-6
     ds_max: float = 0.25
     lambda_max: float = 10.0
     u_norm_max: float = 50.0
     max_points: int = 200
-    pos_tol: float = 1e-12
     # when set, replaces lambda_max by this multiple of the critical intensity
     lambda_max_factor: float | None = None
 
-    # iteration budgets
-    max_newton: int = 12
-
-    # certificate thresholds
-    simplicity_tol: float = 1e-8
-    gap_tol: float = 1e-6
-    rank_tol: float = 1e-8
-    radius_identity_tol: float = 1e-6
+    # Fixed gates: the corrector's stopping rule and budget, the smallest
+    # step, and the certificate bounds that ``verify`` checks.  Class
+    # constants, not fields, so no config or ``replace`` can loosen a check.
+    newton_tol: ClassVar[float] = 1e-10
+    max_newton: ClassVar[int] = 12
+    ds_min: ClassVar[float] = 1e-6
+    pos_tol: ClassVar[float] = 1e-12
+    simplicity_tol: ClassVar[float] = 1e-8
+    gap_tol: ClassVar[float] = 1e-6
+    rank_tol: ClassVar[float] = 1e-8
+    radius_identity_tol: ClassVar[float] = 1e-6
 
     # provenance for configs built from a named coefficient family
     family: str | None = None
@@ -313,7 +312,7 @@ def make_spec(family: str, params: dict | None = None, **spec_kwargs) -> ModelSp
     ``density_diffusion``  all five parameters free
 
     Keyword arguments are passed through to :class:`ModelSpec` (grid sizes,
-    domain bounds, tolerances, continuation parameters).
+    domain bounds, continuation parameters).
     """
     p = family_parameters(family, params)
     d0, d1, mu0, kappa, b0 = (p.get(k, 0.0) for k in ("d0", "d1", "mu0", "kappa", "b0"))

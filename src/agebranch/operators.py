@@ -80,7 +80,7 @@ class EllipticOperator:
     Row sums equal the nodal reaction coefficients (the diffusion part
     annihilates constants), and the dx-weighted matrix ``W A`` is symmetric.
     Assembled at an array of ages, ``diag`` is stacked ages first and ``apply``
-    broadcasts over leading axes; ``to_dense`` and ``solve_shifted`` take one age.
+    broadcasts over leading axes; ``solve_shifted`` takes one age.
     """
 
     lower: np.ndarray
@@ -92,9 +92,6 @@ class EllipticOperator:
         out[..., :-1] += self.upper * w[..., 1:]
         out[..., 1:] += self.lower * w[..., :-1]
         return out
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
 
     def solve_shifted(self, step: float, rhs):
         """Solve ``(I + step * A) w = rhs``; rhs may carry extra RHS columns.
@@ -142,22 +139,6 @@ def assemble_elliptic(U: SpatialField, age, spec: ModelSpec, g: Grid) -> Ellipti
     lower[-1] *= 2.0
     mu = spec.rate_table("mu", U, np.reshape(age, -1)).reshape(np.shape(age) + U.shape)
     return EllipticOperator(lower=lower, diag=diag + mu, upper=upper)
-
-
-def divergence_form(c_nodes: np.ndarray, w: np.ndarray, g: Grid) -> np.ndarray:
-    """Apply ``-(c w_x)_x`` with the same stencil and Neumann closure as
-    :func:`assemble_elliptic`, for a nodal coefficient of arbitrary sign.
-    Nodes run along the last axis; the leading axes broadcast."""
-    c_face = 0.5 * (c_nodes[..., :-1] + c_nodes[..., 1:])
-    flux = c_face * (w[..., 1:] - w[..., :-1])
-    inv_dx2 = 1.0 / g.dx**2
-    out = np.empty(flux.shape[:-1] + (g.n_x,))
-    # written in place: the analytic Jacobian applies this to (n_a+1, n_x, n_x)
-    np.subtract(flux[..., :-1], flux[..., 1:], out=out[..., 1:-1])
-    out[..., 1:-1] *= inv_dx2
-    out[..., 0] = -2.0 * flux[..., 0] * inv_dx2
-    out[..., -1] = 2.0 * flux[..., -1] * inv_dx2
-    return out
 
 
 def _age_systems(U: np.ndarray, spec: ModelSpec, g: Grid, ages: np.ndarray):

@@ -64,7 +64,6 @@ class Branch:
 
     points: list[BranchPoint]
     termination: str
-    tangent_history: list[tuple[float, np.ndarray]]
     lambda0: float
     phi0: SpatialField
     psi0: SpatialField
@@ -257,7 +256,7 @@ def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
     the critical eigenpair) and :class:`ValueError` when the simplicity
     certificate fails.  A corrector that stalls or meets a singular bordered
     system never raises: the step is halved, and the stop reason is recorded
-    on the returned branch.  The continuation settings (``t0`` to ``pos_tol``
+    on the returned branch.  The continuation settings (``t0`` to ``max_points``
     and ``lambda_max_factor``) are read from ``spec``.
     """
     bif = bifurcation_point(spec, g)
@@ -271,9 +270,9 @@ def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
         )
     lam0, phi0, psi0 = bif.lambda0, bif.phi0, bif.psi0
 
-    def make_branch(points, termination, tangents):
+    def make_branch(points, termination):
         return Branch(points=points, termination=termination,
-                      tangent_history=tangents, lambda0=lam0, phi0=phi0, psi0=psi0)
+                      lambda0=lam0, phi0=phi0, psi0=psi0)
 
     # first point: amplitude pinned against the left eigenvector,
     # halving the amplitude if the corrector misses
@@ -290,27 +289,25 @@ def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
         except (StepFailureError, SingularSystemError):
             t *= 0.5
     if first is None:
-        return make_branch([], "step_failure", [])
+        return make_branch([], "step_failure")
     verdict = _box_verdict(first, lambda_max, spec)
     if verdict is not None:
-        return make_branch([], verdict, [])
+        return make_branch([], verdict)
 
     first = replace(first, arclength=_combined_norm(first.lam - lam0, first.v, g))
     points = [first]
-    tangents: list[tuple[float, np.ndarray]] = []
     prev_lam, prev_v, prev_U = lam0, np.zeros(g.n_x), np.zeros(g.n_x)
     current, current_U = first, total_population(first.u, g)
     ds = spec.ds0
 
     while True:
         if len(points) >= spec.max_points:
-            return make_branch(points, "max_points", tangents)
+            return make_branch(points, "max_points")
 
         dlam = current.lam - prev_lam
         dv = current.v - prev_v
         scale = _combined_norm(dlam, dv, g)
         tau_lam, tau_v = dlam / scale, dv / scale
-        tangents.append((tau_lam, tau_v))
         # U rides along the (lam, v) secant without entering the arclength
         tau_U = (current_U - prev_U) / scale
 
@@ -326,11 +323,11 @@ def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
             except (StepFailureError, SingularSystemError):
                 ds *= 0.5
                 if ds < spec.ds_min:
-                    return make_branch(points, "step_failure", tangents)
+                    return make_branch(points, "step_failure")
 
         verdict = _box_verdict(accepted, lambda_max, spec)
         if verdict is not None:
-            return make_branch(points, verdict, tangents)
+            return make_branch(points, verdict)
 
         step_len = _combined_norm(accepted.lam - current.lam,
                                   accepted.v - current.v, g)
@@ -349,7 +346,6 @@ class InvariantReport:
     """Cross-checks at one branch point: the radius and eigen identities of the
     frozen return map, positivity, and the full-grid residual oracle."""
 
-    lam: float
     radius: float
     radius_defect: float
     eigen_defect: float
@@ -383,7 +379,6 @@ def branch_invariant_check(pt: BranchPoint, spec: ModelSpec, g: Grid) -> Invaria
     positivity_ok = bool(pt.u.min() >= -spec.pos_tol)
     residual_ok = bool(fnorm <= 10.0 * spec.newton_tol)
     return InvariantReport(
-        lam=pt.lam,
         radius=float(radius),
         radius_defect=float(defect),
         eigen_defect=eigen_defect,

@@ -39,7 +39,6 @@ def fmt17(x: float) -> str:
 class TransientState:
     """Field after a transient run plus per-step relative change and minima."""
 
-    t: float
     field: AgeSpaceField
     drift_history: list[float]
     min_history: list[float]
@@ -68,7 +67,6 @@ def simulate_transient(u0: AgeSpaceField, lam: float, n_steps: int,
     drift: list[float] = []
     minima: list[float] = []
     off = np.empty((g.n_a, g.n_x))
-    t = 0.0
     for _ in range(n_steps):
         U = g.w_a @ u
         new = np.empty_like(u)
@@ -81,8 +79,7 @@ def simulate_transient(u0: AgeSpaceField, lam: float, n_steps: int,
         drift.append(field_norm(new - u, g) / max(field_norm(u, g), 1e-300))
         minima.append(low)
         u = new
-        t += g.da
-    return TransientState(t=t, field=u, drift_history=drift, min_history=minima)
+    return TransientState(field=u, drift_history=drift, min_history=minima)
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,8 @@ def verify_branch(meta: dict, rows: list[dict], snapshots: list[dict], spec: Mod
     """Every check of an exported branch, in order, as ``(name, passed, detail)``.
 
     The inputs are what ``cli.read_branch_outputs`` returns.  Per point: the
-    CSV row round-trips against the snapshot (to 1e-12 relative), then the
+    CSV row round-trips against the snapshot (to 1e-12 relative; a failure
+    names each column that differs, with both values), then the
     four checks of :func:`branch_invariant_check`; then the kernel dimension
     at ``lambda0`` and the transversality of the crossing.  A snapshot field
     of the wrong shape raises ``ValueError``.
@@ -140,15 +138,14 @@ def verify_branch(meta: dict, rows: list[dict], snapshots: list[dict], spec: Mod
         pt = BranchPoint(lam=lam, v=v, u=u, arclength=snap["arclength"], diagnostics=None)
         report = branch_invariant_check(pt, spec, g)
         resid = trace_norm(v - birth_functional(total_population(u, g), u, lam, spec, g), g)
-        roundtrip = (close(lam, row["lambda"])
-                     and close(snap["arclength"], row["arclength"])
-                     and close(resid, row["residual_norm"])
-                     and close(field_norm(u, g), row["u_norm"])
-                     and close(float(u.min()), row["min_u"])
-                     and close(report.radius, row["r_Q_u"]))
+        recomputed = {"lambda": lam, "arclength": snap["arclength"], "residual_norm": resid,
+                      "u_norm": field_norm(u, g), "min_u": float(u.min()),
+                      "r_Q_u": report.radius}
+        differ = [f"{key} {fmt17(x)} vs CSV {fmt17(row[key])}"
+                  for key, x in recomputed.items() if not close(x, row[key])]
         checks += [
-            (f"point {i} roundtrip", roundtrip,
-             f"residual {fmt17(resid)} vs CSV {fmt17(row['residual_norm'])}"),
+            (f"point {i} roundtrip", not differ, "; ".join(differ)
+             or f"residual {fmt17(resid)} vs CSV {fmt17(row['residual_norm'])}"),
             (f"point {i} radius identity", report.radius_ok,
              f"|lam*r - 1| = {fmt17(report.radius_defect)}"),
             (f"point {i} positivity", report.positivity_ok, f"min_u = {fmt17(report.min_u)}"),

@@ -4,6 +4,28 @@ import pytest
 from agebranch import build_grid, make_spec
 from agebranch.model import ModelSpec
 
+# Stencil references of the tests, kept apart from the operators they check.
+
+
+def to_dense(op) -> np.ndarray:
+    """Dense matrix of an ``EllipticOperator`` assembled at one age."""
+    return np.diag(op.diag) + np.diag(op.upper, 1) + np.diag(op.lower, -1)
+
+
+def divergence_form(c_nodes: np.ndarray, w: np.ndarray, g) -> np.ndarray:
+    """Apply ``-(c w_x)_x`` with the same stencil and Neumann closure as
+    ``assemble_elliptic``, for a nodal coefficient of arbitrary sign.
+    Nodes run along the last axis; the leading axes broadcast."""
+    c_face = 0.5 * (c_nodes[..., :-1] + c_nodes[..., 1:])
+    flux = c_face * (w[..., 1:] - w[..., :-1])
+    inv_dx2 = 1.0 / g.dx**2
+    out = np.empty(flux.shape[:-1] + (g.n_x,))
+    np.subtract(flux[..., :-1], flux[..., 1:], out=out[..., 1:-1])
+    out[..., 1:-1] *= inv_dx2
+    out[..., 0] = -2.0 * flux[..., 0] * inv_dx2
+    out[..., -1] = 2.0 * flux[..., -1] * inv_dx2
+    return out
+
 
 @pytest.fixture
 def constant_spec():

@@ -287,6 +287,38 @@ def test_verify_fails_on_tampered_csv(small_run, tmp_path):
     assert run_command(["verify", "--config", cfg_path, "--out", str(spoiled)]) == 1
 
 
+FIXED_GATE_KEYS = [("model", "newton_tol"), ("model", "simplicity_tol"), ("model", "gap_tol"),
+                   ("model", "rank_tol"), ("model", "radius_identity_tol"),
+                   ("continuation", "ds_min"), ("continuation", "pos_tol")]
+
+
+@pytest.mark.parametrize("section,key", FIXED_GATE_KEYS, ids=[k for _, k in FIXED_GATE_KEYS])
+def test_a_config_that_sets_a_fixed_gate_is_refused(tmp_path, capsys, section, key):
+    cfg = json.loads(json.dumps(SMALL_LOGISTIC))
+    cfg[section][key] = getattr(ModelSpec, key)
+    path = write_cfg(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=f"at {section}: .*'{key}' was unexpected"):
+        load_config(path)
+    assert run_command(["continue", "--config", path, "--out", str(tmp_path / "out")]) == 4
+    assert f"'{key}' was unexpected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_config_cannot_loosen_its_own_checks(small_run, tmp_path, capsys):
+    # a wrong kappa fails the checks; tolerances set in the same config do
+    # not make them pass, they make the config invalid
+    cfg_path, out, _ = small_run
+    cfg = json.loads(json.dumps(SMALL_LOGISTIC))
+    cfg["model"]["params"]["kappa"] = 1.05
+    assert run_command(["verify", "--config", write_cfg(tmp_path, cfg, "kappa.json"),
+                        "--out", str(out)]) == 1
+    assert "FAIL point 1 roundtrip: r_Q_u " in capsys.readouterr().out
+    cfg["model"].update(radius_identity_tol=0.5, newton_tol=1.0)
+    assert run_command(["verify", "--config", write_cfg(tmp_path, cfg, "loose.json"),
+                        "--out", str(out)]) == 4
+    assert "'radius_identity_tol' was unexpected" in capsys.readouterr().err
+
+
 def test_box_below_critical_gives_empty_branch(tmp_path):
     cfg = json.loads(json.dumps(SMALL_LOGISTIC))
     cfg["continuation"]["lambda_max_factor"] = 0.9
@@ -307,7 +339,7 @@ def test_termination_exit_codes(tmp_path, monkeypatch, termination, expected):
     import agebranch.cli as cli
 
     def fake_continue(spec, g):
-        return Branch(points=[], termination=termination, tangent_history=[],
+        return Branch(points=[], termination=termination,
                       lambda0=1.0, phi0=np.ones(g.n_x), psi0=np.ones(g.n_x))
 
     monkeypatch.setattr(cli, "continue_branch", fake_continue)

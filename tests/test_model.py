@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -173,11 +173,27 @@ def test_family_parameter_validation():
 
 
 def test_make_spec_passes_overrides_through():
-    spec = make_spec("constant", n_x=7, newton_tol=1e-8, lambda_max=3.0)
+    spec = make_spec("constant", n_x=7, ds0=1e-3, lambda_max=3.0)
     assert spec.n_x == 7
-    assert spec.newton_tol == 1e-8
+    assert spec.ds0 == 1e-3
     assert spec.lambda_max == 3.0
     assert spec.family == "constant"
+
+
+FIXED_GATES = {"newton_tol": 1e-10, "max_newton": 12, "ds_min": 1e-6, "pos_tol": 1e-12,
+               "simplicity_tol": 1e-8, "gap_tol": 1e-6, "rank_tol": 1e-8,
+               "radius_identity_tol": 1e-6}
+
+
+def test_fixed_gates_are_class_constants_that_no_spec_can_set():
+    assert not FIXED_GATES.keys() & {f.name for f in fields(ModelSpec)}
+    spec = make_spec("constant", n_x=7)
+    for name, value in FIXED_GATES.items():
+        assert getattr(ModelSpec, name) == value and getattr(spec, name) == value
+    with pytest.raises(TypeError, match="newton_tol"):
+        make_spec("constant", newton_tol=1e-8)
+    with pytest.raises(TypeError, match="rank_tol"):
+        replace(spec, rank_tol=1.0)
 
 
 # the parameters that each built-in family fixes at 0

@@ -19,6 +19,7 @@ from agebranch.operators import (
     next_generation_operator,
 )
 from agebranch.oracles import survival_sum
+from conftest import divergence_form, to_dense
 
 
 def decay_profile(c, mu0, g):
@@ -46,7 +47,7 @@ def test_three_node_stencil_hand_assembled():
     # unit diffusivity, no reaction, dx = 0.5: interior row is (-4, 8, -4)
     spec = make_spec("constant", {"mu0": 0.0}, n_x=3, n_a=2)
     g = build_grid(spec)
-    dense = assemble_elliptic(np.zeros(3), 0.0, spec, g).to_dense()
+    dense = to_dense(assemble_elliptic(np.zeros(3), 0.0, spec, g))
     assert np.allclose(dense[1], [-4.0, 8.0, -4.0])
     assert np.allclose(dense[0], [8.0, -8.0, 0.0])
 
@@ -56,7 +57,7 @@ def test_weighted_symmetry_and_m_matrix_signs(rng):
     g = build_grid(spec)
     U = rng.random(g.n_x)
     op = assemble_elliptic(U, 0.3, spec, g)
-    weighted = np.diag(g.w_x) @ op.to_dense()
+    weighted = np.diag(g.w_x) @ to_dense(op)
     assert np.allclose(weighted, weighted.T, atol=1e-12)
     assert np.all(op.lower <= 0.0) and np.all(op.upper <= 0.0)
     assert np.all(op.diag >= 0.0)
@@ -355,15 +356,13 @@ def test_age_systems_are_the_symmetrized_steps(rng, model_at):
     scale = np.ones(g.n_x)
     scale[[0, -1]] = np.sqrt(0.5)
     for k, age in enumerate(g.a_nodes):
-        M = np.eye(g.n_x) + g.da * assemble_elliptic(U, age, spec, g).to_dense()
+        M = np.eye(g.n_x) + g.da * to_dense(assemble_elliptic(U, age, spec, g))
         S = np.diag(diag[k]) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
         assert np.allclose(S, scale[:, None] * M / scale[None, :], rtol=1e-15, atol=0.0)
         assert np.linalg.eigvalsh(S).min() >= 1.0 - 1e-12
 
 
 def test_divergence_form_matches_assembled_operator(rng):
-    from agebranch.operators import divergence_form
-
     spec = make_spec("constant", {"d0": 1.7, "mu0": 0.0}, n_x=9, n_a=4)
     g = build_grid(spec)
     w = rng.random(g.n_x)

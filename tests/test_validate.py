@@ -266,6 +266,10 @@ def test_verify_branch_names_each_spoiled_quantity(logistic_small, exported, fai
         snap["u"][5][4] *= 1.01
     else:  # lambda0 off the crossing
         meta["lambda0"] *= 1.01
-    failed = [name for name, ok, _ in verify_branch(meta, rows, snapshots, spec, g) if not ok]
+    checks = verify_branch(meta, rows, snapshots, spec, g)
+    failed = [name for name, ok, _ in checks if not ok]
     assert failing in failed
     assert all(name.startswith("point 2 ") or name == failing for name in failed)
+    if failing == "point 2 roundtrip":  # the detail names what differs, with both values
+        assert {name: detail for name, _, detail in checks}[failing] == (
+            f"lambda {snap['lambda']:.17g} vs CSV {row['lambda']:.17g}")
