@@ -97,7 +97,6 @@ CONFIG_SCHEMA = {
                 "t0": _POSITIVE,
                 "ds0": _POSITIVE,
                 "ds_max": _POSITIVE,
-                "lambda_max": {"type": "number"},
                 "lambda_max_factor": _POSITIVE,
                 "u_norm_max": _POSITIVE,
                 "max_points": {"type": "integer", "minimum": 1},
@@ -227,6 +226,9 @@ def write_branch_outputs(branch: Branch, out_dir, cfg: dict, seed: int) -> Path:
     csv_path = out / "branch.csv"
     csv_path.write_text("\n".join(lines) + "\n")
 
+    # snapshots of an earlier run in this directory are not of this branch
+    for stale in snap_dir.glob("point_*.json"):
+        stale.unlink()
     for i, pt in enumerate(branch.points):
         snapshot = {
             "index": i,
@@ -369,8 +371,30 @@ def _cmd_continue(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     return _TERMINATION_EXIT[branch.termination]
 
 
+def _first_difference(recorded, given, path: str) -> str | None:
+    """``"path: recorded in branch_meta.json, given in the config"`` at the
+    first key, in sorted order, where two JSON values differ; None if none.
+    A missing key reads ``absent`` (a valid model section holds no null)."""
+    if isinstance(recorded, dict) and isinstance(given, dict):
+        found = (_first_difference(recorded.get(k), given.get(k), f"{path}/{k}")
+                 for k in sorted(recorded.keys() | given.keys()))
+        return next((text for text in found if text is not None), None)
+    if recorded == given:
+        return None
+    recorded, given = ("absent" if x is None else json.dumps(x) for x in (recorded, given))
+    return f"{path}: {recorded} in branch_meta.json, {given} in the config"
+
+
 def _cmd_verify(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
-    checks = verify_branch(*read_branch_outputs(args.out), spec, g)
+    meta, rows, snapshots = read_branch_outputs(args.out)
+    # the checks hold the branch to the config's model, which must be the one
+    # it was computed for; continuation and seed may differ
+    meta_path = Path(args.out) / "branch_meta.json"
+    _require_keys(meta, ("config", "config.model"), meta_path, "branch metadata")
+    difference = _first_difference(meta["config"]["model"], cfg["model"], "model")
+    if difference is not None:
+        raise ConfigError(f"{meta_path}: computed for another model: {difference}")
+    checks = verify_branch(meta, rows, snapshots, spec, g)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     passed = sum(ok for _, ok, _ in checks)

@@ -88,11 +88,10 @@ class ModelSpec:
     t0: float = 1e-2
     ds0: float = 2e-2
     ds_max: float = 0.25
-    lambda_max: float = 10.0
+    # the box on the intensity: lam <= lambda_max_factor * lambda0
+    lambda_max_factor: float = 6.0
     u_norm_max: float = 50.0
     max_points: int = 200
-    # when set, replaces lambda_max by this multiple of the critical intensity
-    lambda_max_factor: float | None = None
 
     # Fixed gates: the corrector's stopping rule and budget, the smallest
     # step, and the certificate bounds that ``verify`` checks.  Class

@@ -248,20 +248,21 @@ def _box_verdict(pt: BranchPoint, lambda_max: float, spec: ModelSpec) -> str | N
 def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
     """Trace the positive branch from the bifurcation point to the box.
 
-    The first point is corrected from the tangent predictor along the
-    dominant eigenvector with its amplitude pinned against the left
-    eigenvector; subsequent points use a secant tangent predictor with an
-    arclength normalization constraint and an adaptive step.  Before the
-    first correction it raises the errors of :func:`bifurcation_point` (for
-    the critical eigenpair) and :class:`ValueError` when the simplicity
-    certificate fails.  A corrector that stalls or meets a singular bordered
-    system never raises: the step is halved, and the stop reason is recorded
-    on the returned branch.  The continuation settings (``t0`` to ``max_points``
-    and ``lambda_max_factor``) are read from ``spec``.
+    One loop starts at the bifurcation point ``(lambda0, v = 0, U = 0)`` at
+    arclength 0.  The first correction predicts ``t0 * phi0`` and pins its
+    amplitude against the left eigenvector ``psi0``; every later one predicts
+    along the secant under an arclength constraint.  Every attempt follows
+    the same rules: a corrector that stalls or meets a singular bordered
+    system halves the step, and a step below ``ds_min`` stops the branch in
+    ``step_failure``; an accepted point outside the box (``lam >
+    lambda_max_factor * lambda0``, ``u_norm > u_norm_max`` or ``min_u <
+    -pos_tol``) stops it with the bound it broke.  The step is ``ds0`` after
+    the first point and doubles, up to ``ds_max``, after a later point that
+    took at most 3 Newton iterations.  Before the first correction it raises
+    the errors of :func:`bifurcation_point` (for the critical eigenpair) and
+    :class:`ValueError` when the simplicity certificate fails.
     """
     bif = bifurcation_point(spec, g)
-    lambda_max = (spec.lambda_max if spec.lambda_max_factor is None
-                  else spec.lambda_max_factor * bif.lambda0)
     cert = check_simplicity(bif.perron, spec.simplicity_tol, spec.gap_tol)
     if not cert.passed:
         raise ValueError(
@@ -269,74 +270,48 @@ def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
             f"gap {cert.gap:.3e}); cannot start the branch"
         )
     lam0, phi0, psi0 = bif.lambda0, bif.phi0, bif.psi0
+    lambda_max = spec.lambda_max_factor * lam0
+    branch = Branch(points=[], termination="max_points", lambda0=lam0, phi0=phi0, psi0=psi0)
+    points = branch.points
 
-    def make_branch(points, termination):
-        return Branch(points=points, termination=termination,
-                      lambda0=lam0, phi0=phi0, psi0=psi0)
-
-    # first point: amplitude pinned against the left eigenvector,
-    # halving the amplitude if the corrector misses
-    amplitude_constraint = AffineConstraint(0.0, g.w_x * psi0)
-    first = None
-    t = spec.t0
-    for _ in range(8):
-        try:
-            first = newton_correct(
-                lam0, t * phi0, amplitude_constraint,
-                t * weighted_inner(psi0, phi0, g), spec, g,
-            )
-            break
-        except (StepFailureError, SingularSystemError):
-            t *= 0.5
-    if first is None:
-        return make_branch([], "step_failure")
-    verdict = _box_verdict(first, lambda_max, spec)
-    if verdict is not None:
-        return make_branch([], verdict)
-
-    first = replace(first, arclength=_combined_norm(first.lam - lam0, first.v, g))
-    points = [first]
-    prev_lam, prev_v, prev_U = lam0, np.zeros(g.n_x), np.zeros(g.n_x)
-    current, current_U = first, total_population(first.u, g)
-    ds = spec.ds0
-
-    while True:
-        if len(points) >= spec.max_points:
-            return make_branch(points, "max_points")
-
-        dlam = current.lam - prev_lam
-        dv = current.v - prev_v
-        scale = _combined_norm(dlam, dv, g)
-        tau_lam, tau_v = dlam / scale, dv / scale
-        # U rides along the (lam, v) secant without entering the arclength
-        tau_U = (current_U - prev_U) / scale
-
-        while True:
-            lam_pred = current.lam + ds * tau_lam
-            v_pred = current.v + ds * tau_v
+    # the current point (lam, v, U) and the predictor's direction: phi0 at the
+    # bifurcation point, then the unit (lam, v) secant with U riding along
+    lam, v, U, arclength = lam0, np.zeros(g.n_x), np.zeros(g.n_x), 0.0
+    tau_lam, tau_v, tau_U = 0.0, phi0, np.zeros(g.n_x)
+    ds = spec.t0
+    while len(points) < spec.max_points:
+        lam_pred, v_pred = lam + ds * tau_lam, v + ds * tau_v
+        if points:
             constraint = AffineConstraint(tau_lam, g.dx * tau_v)
             target = constraint(lam_pred, v_pred)
-            try:
-                accepted = newton_correct(lam_pred, v_pred, constraint, target,
-                                          spec, g, U=current_U + ds * tau_U)
-                break
-            except (StepFailureError, SingularSystemError):
-                ds *= 0.5
-                if ds < spec.ds_min:
-                    return make_branch(points, "step_failure")
-
-        verdict = _box_verdict(accepted, lambda_max, spec)
+        else:
+            constraint = AffineConstraint(0.0, g.w_x * psi0)
+            target = ds * weighted_inner(psi0, phi0, g)
+        try:
+            pt = newton_correct(lam_pred, v_pred, constraint, target, spec, g,
+                                U=U + ds * tau_U)
+        except (StepFailureError, SingularSystemError):
+            ds *= 0.5
+            if ds < spec.ds_min:
+                branch.termination = "step_failure"
+                return branch
+            continue
+        verdict = _box_verdict(pt, lambda_max, spec)
         if verdict is not None:
-            return make_branch(points, verdict)
+            branch.termination = verdict
+            return branch
 
-        step_len = _combined_norm(accepted.lam - current.lam,
-                                  accepted.v - current.v, g)
-        accepted = replace(accepted, arclength=current.arclength + step_len)
-        points.append(accepted)
-        if accepted.diagnostics.newton_iters <= 3:
+        # the step's length is both its arclength and the next secant's scale
+        dlam, dv, U_pt = pt.lam - lam, pt.v - v, total_population(pt.u, g)
+        step_len = _combined_norm(dlam, dv, g)
+        tau_lam, tau_v, tau_U = dlam / step_len, dv / step_len, (U_pt - U) / step_len
+        lam, v, U, arclength = pt.lam, pt.v, U_pt, arclength + step_len
+        if not points:
+            ds = spec.ds0
+        elif pt.diagnostics.newton_iters <= 3:
             ds = min(2.0 * ds, spec.ds_max)
-        prev_lam, prev_v, prev_U = current.lam, current.v, current_U
-        current, current_U = accepted, total_population(accepted.u, g)
+        points.append(replace(pt, arclength=arclength))
+    return branch
 
 
 # -- per-point invariant report ----------------------------------------------

@@ -287,15 +287,17 @@ def test_verify_fails_on_tampered_csv(small_run, tmp_path):
     assert run_command(["verify", "--config", cfg_path, "--out", str(spoiled)]) == 1
 
 
+# the fixed gates, and lambda_max: lambda_max_factor is the only box on lambda
 FIXED_GATE_KEYS = [("model", "newton_tol"), ("model", "simplicity_tol"), ("model", "gap_tol"),
                    ("model", "rank_tol"), ("model", "radius_identity_tol"),
-                   ("continuation", "ds_min"), ("continuation", "pos_tol")]
+                   ("continuation", "ds_min"), ("continuation", "pos_tol"),
+                   ("continuation", "lambda_max")]
 
 
 @pytest.mark.parametrize("section,key", FIXED_GATE_KEYS, ids=[k for _, k in FIXED_GATE_KEYS])
 def test_a_config_that_sets_a_fixed_gate_is_refused(tmp_path, capsys, section, key):
     cfg = json.loads(json.dumps(SMALL_LOGISTIC))
-    cfg[section][key] = getattr(ModelSpec, key)
+    cfg[section][key] = getattr(ModelSpec, key, 10.0)
     path = write_cfg(tmp_path, cfg)
     with pytest.raises(ConfigError, match=f"at {section}: .*'{key}' was unexpected"):
         load_config(path)
@@ -305,18 +307,64 @@ def test_a_config_that_sets_a_fixed_gate_is_refused(tmp_path, capsys, section, k
 
 
 def test_verify_config_cannot_loosen_its_own_checks(small_run, tmp_path, capsys):
-    # a wrong kappa fails the checks; tolerances set in the same config do
-    # not make them pass, they make the config invalid
+    # a wrong kappa is another model, refused before any check; tolerances
+    # set in the same config make it invalid
     cfg_path, out, _ = small_run
     cfg = json.loads(json.dumps(SMALL_LOGISTIC))
     cfg["model"]["params"]["kappa"] = 1.05
     assert run_command(["verify", "--config", write_cfg(tmp_path, cfg, "kappa.json"),
-                        "--out", str(out)]) == 1
-    assert "FAIL point 1 roundtrip: r_Q_u " in capsys.readouterr().out
+                        "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "model/params/kappa: 1.0 in branch_meta.json, 1.05 in the config" in captured.err
+    assert captured.out == ""
     cfg["model"].update(radius_identity_tol=0.5, newton_tol=1.0)
     assert run_command(["verify", "--config", write_cfg(tmp_path, cfg, "loose.json"),
                         "--out", str(out)]) == 4
     assert "'radius_identity_tol' was unexpected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "n_x", 12), ("model", "x_min", -0.5), ("model", "family", "density_diffusion"),
+])
+def test_verify_names_the_first_model_entry_that_differs(small_run, tmp_path, capsys,
+                                                         section, key, value):
+    _, out, _ = small_run
+    cfg = json.loads(json.dumps(SMALL_LOGISTIC))
+    recorded = cfg[section].get(key)
+    cfg[section][key] = value
+    assert run_command(["verify", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(out)]) == 4
+    recorded = "absent" if recorded is None else json.dumps(recorded)
+    assert (f"{section}/{key}: {recorded} in branch_meta.json, {json.dumps(value)} "
+            "in the config") in capsys.readouterr().err
+
+
+def test_verify_reads_neither_continuation_nor_seed(small_run, tmp_path, capsys):
+    _, out, _ = small_run
+    cfg = json.loads(json.dumps(SMALL_LOGISTIC))
+    cfg["continuation"] = {"max_points": 2}
+    cfg["seed"] = 7
+    assert run_command(["verify", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_a_shorter_rerun_leaves_no_stale_snapshot(small_run, tmp_path):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    (copy / "snapshots" / "notes.txt").write_text("kept")
+    before = sorted(p.name for p in (copy / "snapshots").glob("point_*.json"))
+    cfg = json.loads(json.dumps(SMALL_LOGISTIC))
+    cfg["continuation"]["max_points"] = 2
+    assert run_command(["continue", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(copy)]) == 0
+    meta, rows, _ = read_branch_outputs(copy)
+    assert meta["n_points"] == len(rows) == 2 < len(before)
+    assert sorted(p.name for p in (copy / "snapshots").glob("point_*.json")) == before[:2]
+    assert (copy / "snapshots" / "notes.txt").read_text() == "kept"
+    assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
+                        "--snapshot", str(copy / "snapshots" / before[-1]),
+                        "--steps", "2"]) == 4
 
 
 def test_box_below_critical_gives_empty_branch(tmp_path):
@@ -428,6 +476,8 @@ def test_verify_names_a_broken_csv_line(small_run, tmp_path, capsys, spoil, wher
       for key in ("v", "u", "lambda", "arclength", "diagnostics.newton_iters")),
     ("branch_meta.json", "lambda0"),
     ("branch_meta.json", "n_points"),
+    ("branch_meta.json", "config"),
+    ("branch_meta.json", "config.model"),
 ])
 def test_verify_names_a_file_without_an_entry(small_run, tmp_path, capsys, name, key):
     cfg_path, out, _ = small_run

@@ -173,11 +173,19 @@ def test_family_parameter_validation():
 
 
 def test_make_spec_passes_overrides_through():
-    spec = make_spec("constant", n_x=7, ds0=1e-3, lambda_max=3.0)
+    spec = make_spec("constant", n_x=7, ds0=1e-3, lambda_max_factor=3.0)
     assert spec.n_x == 7
     assert spec.ds0 == 1e-3
-    assert spec.lambda_max == 3.0
+    assert spec.lambda_max_factor == 3.0
     assert spec.family == "constant"
+
+
+def test_lambda_max_factor_is_the_only_box_on_lambda():
+    assert len(fields(ModelSpec)) == 20
+    assert "lambda_max" not in {f.name for f in fields(ModelSpec)}
+    assert make_spec("constant").lambda_max_factor == 6.0
+    with pytest.raises(TypeError, match="lambda_max"):
+        make_spec("constant", lambda_max=3.0)
 
 
 FIXED_GATES = {"newton_tol": 1e-10, "max_newton": 12, "ds_min": 1e-6, "pos_tol": 1e-12,

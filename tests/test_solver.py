@@ -22,6 +22,7 @@ from agebranch import (
 from agebranch.errors import SingularSystemError, StepFailureError
 from agebranch.operators import assemble_elliptic, birth_functional, evolve
 from agebranch.oracles import equilibrium_intensity, homogeneous_profile, survival_sum
+from agebranch.model import trace_norm
 from agebranch.solver import BranchPoint, _tangent_source
 from agebranch.spectral import bifurcation_point
 from conftest import divergence_form
@@ -37,8 +38,7 @@ def logistic():
 @pytest.fixture(scope="module")
 def logistic_branch(logistic):
     spec, g = logistic
-    lam0 = bifurcation_point(spec, g).lambda0
-    spec = replace(spec, lambda_max=1.8 * lam0, ds0=0.1, ds_max=0.4, max_points=40)
+    spec = replace(spec, lambda_max_factor=1.8, ds0=0.1, ds_max=0.4, max_points=40)
     return continue_branch(spec, g)
 
 
@@ -201,7 +201,7 @@ def fold_model():
         d=lambda z: np.ones_like(z_(z)), d_prime=lambda z: np.zeros_like(z_(z)),
         mu=lambda z, a: 1.0 + 0.3 * z_(z) ** 2, mu_z=lambda z, a: 0.6 * z_(z),
         b=lambda z, a: 1.0 + 2.0 * z_(z), b_z=lambda z, a: np.full_like(z_(z), 2.0),
-        d_lower=1.0, n_x=12, n_a=40, lambda_max=3.0, u_norm_max=20.0,
+        d_lower=1.0, n_x=12, n_a=40, lambda_max_factor=2.0, u_norm_max=20.0,
     )
 
 
@@ -425,7 +425,6 @@ def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_
                                                              monkeypatch):
     # secant predictor through two branch points, as in continue_branch
     import agebranch.solver as solver_module
-    from agebranch.model import trace_norm
 
     spec, g = logistic
     n = g.n_x
@@ -543,10 +542,55 @@ def test_branch_turns_the_fold_to_the_box():
     assert elapsed < 10.0
 
 
+def failing_corrector(monkeypatch, accepted):
+    """Let ``newton_correct`` accept ``accepted`` points, then fail every
+    correction; returns the ``(lam, v)`` predictor of every call."""
+    import agebranch.solver as solver_module
+
+    calls = []
+
+    def correct(lam, v, *args, **kwargs):
+        calls.append((lam, v))
+        if len(calls) > accepted:
+            raise SingularSystemError("forced", condition_estimate=float("inf"))
+        return newton_correct(lam, v, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "newton_correct", correct)
+    return calls
+
+
+def test_a_first_point_that_never_converges_halves_t0_down_to_ds_min(logistic, monkeypatch):
+    spec, g = logistic
+    calls = failing_corrector(monkeypatch, accepted=0)
+    branch = continue_branch(spec, g)
+    assert branch.termination == "step_failure"
+    assert branch.points == []
+    # the amplitude t0 = 1e-2 is tried at 1e-2 / 2^k for k = 0 .. 13
+    t = [np.linalg.norm(v) / np.linalg.norm(branch.phi0) for _, v in calls]
+    assert spec.t0 == 1e-2 and len(t) == 14
+    assert np.allclose(t, spec.t0 * 0.5 ** np.arange(14), rtol=1e-12)
+    assert min(t) >= spec.ds_min > 0.5 * min(t)
+
+
+@pytest.mark.parametrize("accepted", [1, 3])
+def test_a_step_that_never_converges_halves_ds_down_to_ds_min(logistic, monkeypatch,
+                                                              accepted):
+    spec, g = logistic
+    spec = replace(spec, lambda_max_factor=1.8, ds0=0.1, ds_max=0.4)
+    calls = failing_corrector(monkeypatch, accepted)
+    branch = continue_branch(spec, g)
+    assert branch.termination == "step_failure"
+    assert len(branch.points) == accepted
+    last = branch.points[-1]
+    ds = [np.hypot(lam - last.lam, trace_norm(v - last.v, g)) for lam, v in calls[accepted:]]
+    assert np.allclose(ds[1:], 0.5 * np.array(ds[:-1]), rtol=1e-9)
+    # the last step tried is the last at or above ds_min: its half is the first below
+    assert ds[-1] >= spec.ds_min > 0.5 * ds[-1]
+
+
 def test_box_excluding_the_branch_gives_empty_run(logistic):
     spec, g = logistic
-    lam0 = bifurcation_point(spec, g).lambda0
-    branch = continue_branch(replace(spec, lambda_max=0.9 * lam0), g)
+    branch = continue_branch(replace(spec, lambda_max_factor=0.9), g)
     assert branch.termination == "box_lambda"
     assert branch.points == []
 

@@ -31,8 +31,7 @@ def logistic_small():
 @pytest.fixture(scope="module")
 def short_branch(logistic_small):
     spec, g = logistic_small
-    lam0 = bifurcation_point(spec, g).lambda0
-    spec = replace(spec, lambda_max=1.5 * lam0, max_points=6, ds0=0.1, ds_max=0.4)
+    spec = replace(spec, lambda_max_factor=1.5, max_points=6, ds0=0.1, ds_max=0.4)
     return continue_branch(spec, g)
 
 
