@@ -211,7 +211,8 @@ def _diagnostics_dict(d: PointDiagnostics) -> dict:
     }
 
 
-def write_branch_outputs(branch: Branch, out_dir, cfg: dict, seed: int) -> Path:
+def write_branch_outputs(branch: Branch, out_dir, cfg: dict, seed: int,
+                         resolution_scale: int = 1) -> Path:
     out = Path(out_dir)
     snap_dir = out / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
@@ -249,6 +250,7 @@ def write_branch_outputs(branch: Branch, out_dir, cfg: dict, seed: int) -> Path:
         "phi0": branch.phi0.tolist(),
         "psi0": branch.psi0.tolist(),
         "seed": seed,
+        "resolution_scale": resolution_scale,
         "config": cfg,
     }
     (out / "branch_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
@@ -343,6 +345,7 @@ def _cmd_bifpoint(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
             "psi0": bif.psi0.tolist(),
             "simplicity_passed": cert.passed,
             "fd_coefficient_derivatives": spec.derivatives_from_fd,
+            "resolution_scale": args.resolution_scale,
             "config": cfg,
         }
         (out / "eigenpair.json").write_text(json.dumps(payload, sort_keys=True, indent=1))
@@ -361,7 +364,7 @@ _TERMINATION_EXIT = {
 def _cmd_continue(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     branch = continue_branch(spec, g)
     out = Path(args.out)
-    write_branch_outputs(branch, out, cfg, args.seed)
+    write_branch_outputs(branch, out, cfg, args.seed, args.resolution_scale)
     print(f"branch: {len(branch.points)} points, termination {branch.termination}")
     print(f"lambda0 = {fmt17(branch.lambda0)}")
     if branch.points:
@@ -390,6 +393,12 @@ def _cmd_verify(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     # the checks hold the branch to the config's model, which must be the one
     # it was computed for; continuation and seed may differ
     meta_path = Path(args.out) / "branch_meta.json"
+    # a branch written before the scale was recorded was computed at scale 1
+    scale = (_number(meta, "resolution_scale", meta_path, "branch metadata", "integer")
+             if "resolution_scale" in meta else 1)
+    if scale != args.resolution_scale:
+        raise ConfigError(f"{meta_path}: computed at resolution scale {scale}, "
+                          f"verified at resolution scale {args.resolution_scale}")
     _require_keys(meta, ("config", "config.model"), meta_path, "branch metadata")
     difference = _first_difference(meta["config"]["model"], cfg["model"], "model")
     if difference is not None:

@@ -21,7 +21,11 @@ class StepFailureError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """The bordered corrector system is numerically singular (fold/defect)."""
+    """The bordered corrector system is numerically singular (fold/defect).
+
+    ``condition_estimate`` is LAPACK ``dgecon``'s 1-norm condition estimate
+    (``inf`` for an exact zero pivot), within about a factor of the system
+    size of the 2-norm condition number."""
 
     def __init__(self, message: str, condition_estimate: float):
         super().__init__(message)

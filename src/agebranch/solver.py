@@ -31,6 +31,7 @@ from .model import (
     weighted_inner,
 )
 from .operators import (
+    _load_flapack,
     assemble_elliptic,
     birth_functional,
     evolve,
@@ -45,6 +46,8 @@ class PointDiagnostics:
     u_norm: float
     next_gen_radius: float
     newton_iters: int
+    # bordered matrices the correction assembled (newton_iters minus chord steps)
+    jacobians: int = 0
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,30 @@ def full_residual(lam: float, u: AgeSpaceField, spec: ModelSpec, g: Grid) -> Age
 # -- bordered Newton corrector ----------------------------------------------
 
 _COND_LIMIT = 1e13
+# a chord step on the stored factors is kept while it cuts the residual
+# norm hypot(|R_v|, |R_U|) to at most this fraction of the previous iterate's
+_CHORD_CONTRACTION = 0.1
+
+_flapack = _load_flapack()
+dgetrf, dgecon, dgetrs = _flapack.dgetrf, _flapack.dgecon, _flapack.dgetrs
+
+
+def _factor_bordered(bordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors ``(lu, piv)`` of the bordered matrix by LAPACK ``dgetrf``;
+    :class:`SingularSystemError` on an exact zero pivot or when the 1-norm
+    condition estimate of ``dgecon`` exceeds ``_COND_LIMIT``."""
+    anorm = float(np.abs(bordered).sum(axis=0).max())
+    lu, piv, info = dgetrf(bordered)
+    rcond = dgecon(lu, anorm)[0] if info == 0 else 0.0
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    if not cond <= _COND_LIMIT:
+        raise SingularSystemError(
+            f"bordered corrector system is singular (LAPACK 1-norm condition "
+            f"estimate ~{cond:.3e}, within about a factor {len(lu)} of the 2-norm "
+            "condition); fold point or defective constraint",
+            condition_estimate=cond,
+        )
+    return lu, piv
 
 
 def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
@@ -156,13 +183,24 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
     ``E(U)`` the age march frozen at ``U`` and ``U`` starting from the given
     guess (zero by default).  Newton on the bordered system of size
     ``2 n_x + 1``; converged when both residual norms, the constraint defect
-    and the last ``(v, lam)`` step norm are at or below ``newton_tol``.  An
-    iterate whose residuals already meet ``newton_tol`` takes its certifying
-    step with the bordered matrix already assembled, without a new Jacobian.  From
-    the trivial branch with a pure amplitude constraint the bordered matrix is
-    singular (the intensity column vanishes at ``v = 0``), which raises
-    :class:`SingularSystemError`; linear models have no nontrivial solutions
-    off the critical intensity for the corrector to find.
+    and the last ``(v, lam)`` step norm are at or below ``newton_tol``.
+
+    The first iteration assembles the bordered matrix (:func:`jacobian` plus
+    the constraint row) and factors it once with LAPACK ``dgetrf``; every
+    step is one ``dgetrs`` on the stored factors.  A later iteration takes a
+    chord step on those factors while the residual norm
+    ``hypot(|R_v|, |R_U|)`` falls to at most ``_CHORD_CONTRACTION`` of the
+    previous iterate's, and reassembles and refactors otherwise; an iterate
+    whose residuals already meet ``newton_tol`` takes its certifying step on
+    the stored factors.  ``max_newton`` bounds every iteration, chord steps
+    included.  The singularity test compares LAPACK ``dgecon``'s 1-norm
+    reciprocal condition estimate, which is within about a factor
+    ``2 n_x + 1`` of the 2-norm condition number, with ``_COND_LIMIT``; an
+    exact zero pivot is singular too.  From the trivial branch with a
+    pure amplitude constraint the bordered matrix is singular (the intensity
+    column vanishes at ``v = 0``), which raises :class:`SingularSystemError`;
+    linear models have no nontrivial solutions off the critical intensity for
+    the corrector to find.
     """
     v = np.array(v, dtype=float, copy=True)
     U = np.zeros(g.n_x) if U is None else np.array(U, dtype=float, copy=True)
@@ -170,36 +208,30 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
     n = g.n_x
     last_step = 0.0
     rnorm = np.inf
+    factors, jacobians, previous = None, 0, np.inf
 
     for newton_iters in range(spec.max_newton + 1):
         u = evolve(U, v, spec, g)
         R_v = v - birth_functional(U, u, lam, spec, g)
         R_U = U - g.w_a @ u
-        rnorm = trace_norm(R_v, g)
+        rnorm, unorm = trace_norm(R_v, g), trace_norm(R_U, g)
         cres = constraint(lam, v) - target
         converged = (rnorm <= spec.newton_tol
-                     and trace_norm(R_U, g) <= spec.newton_tol
+                     and unorm <= spec.newton_tol
                      and abs(cres) <= spec.newton_tol * (1.0 + abs(target)))
         if converged and last_step <= spec.newton_tol:
-            return _finish_point(lam, v, u, rnorm, newton_iters, spec, g)
+            return _finish_point(lam, v, u, rnorm, newton_iters, jacobians, spec, g)
 
-        # a converged point only needs its certifying step: the chord step on
-        # the last bordered matrix, one iterate back, matches Newton's to far
-        # below round-off of v
-        if not converged:
+        residual = float(np.hypot(rnorm, unorm))
+        if factors is None or not (converged or residual <= _CHORD_CONTRACTION * previous):
             # unknowns ordered (v, U, lam); the constraint sees (v, lam) only
-            bordered = np.vstack([
+            factors = _factor_bordered(np.vstack([
                 jacobian(lam, U, u, spec, g),
                 np.concatenate([constraint.coeff_v, np.zeros(n), [constraint.coeff_lambda]]),
-            ])
-            cond = float(np.linalg.cond(bordered))
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                raise SingularSystemError(
-                    f"bordered corrector system is singular (condition ~{cond:.3e}); "
-                    "fold point or defective constraint",
-                    condition_estimate=cond,
-                )
-        step = np.linalg.solve(bordered, -np.concatenate([R_v, R_U, [cres]]))
+            ]))
+            jacobians += 1
+        previous = residual
+        step = dgetrs(*factors, -np.concatenate([R_v, R_U, [cres]]))[0]
         v = v + step[:n]
         U = U + step[n:2 * n]
         lam = lam + float(step[2 * n])
@@ -213,18 +245,29 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
     )
 
 
-def _finish_point(lam, v, u, rnorm, newton_iters, spec, g) -> BranchPoint:
-    try:
-        Q = next_generation_operator(u, spec, g)
-        radius = perron_eigenpair(Q, weights=g.w_x).radius
-    except NoPositiveEigenvalueError:
-        radius = float("nan")
+def _finish_point(lam, v, u, rnorm, newton_iters, jacobians, spec, g) -> BranchPoint:
+    """The converged point with its diagnostics.  The radius of ``Q(u)`` comes
+    from one march of the positive trace: ``y = Q(u) v`` and the radius
+    ``<w v, y> / <w v, v>``, which the Collatz-Wielandt ratios ``y_i / v_i``
+    bracket (Horn & Johnson, Matrix Analysis, ch. 8).  A trace with a
+    non-positive entry takes the dense return map and its Perron solve."""
+    if v.min() > 0.0:
+        U = total_population(u, g)
+        y = birth_functional(U, evolve(U, v, spec, g), 1.0, spec, g)
+        wv = g.w_x * v
+        radius = float(wv @ y) / float(wv @ v)
+    else:
+        try:
+            radius = perron_eigenpair(next_generation_operator(u, spec, g), weights=g.w_x).radius
+        except NoPositiveEigenvalueError:
+            radius = float("nan")
     diags = PointDiagnostics(
         residual_norm=float(rnorm),
         min_u=float(u.min()),
         u_norm=field_norm(u, g),
         next_gen_radius=float(radius),
         newton_iters=newton_iters,
+        jacobians=jacobians,
     )
     return BranchPoint(lam=float(lam), v=v.copy(), u=u, arclength=0.0, diagnostics=diags)
 
@@ -257,10 +300,10 @@ def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
     ``step_failure``; an accepted point outside the box (``lam >
     lambda_max_factor * lambda0``, ``u_norm > u_norm_max`` or ``min_u <
     -pos_tol``) stops it with the bound it broke.  The step is ``ds0`` after
-    the first point and doubles, up to ``ds_max``, after a later point that
-    took at most 3 Newton iterations.  Before the first correction it raises
-    the errors of :func:`bifurcation_point` (for the critical eigenpair) and
-    :class:`ValueError` when the simplicity certificate fails.
+    the first point and doubles, up to ``ds_max``, after a later point whose
+    correction assembled at most 2 Jacobians.  Before the first correction it
+    raises the errors of :func:`bifurcation_point` (for the critical
+    eigenpair) and :class:`ValueError` when the simplicity certificate fails.
     """
     bif = bifurcation_point(spec, g)
     cert = check_simplicity(bif.perron, spec.simplicity_tol, spec.gap_tol)
@@ -308,7 +351,7 @@ def continue_branch(spec: ModelSpec, g: Grid) -> Branch:
         lam, v, U, arclength = pt.lam, pt.v, U_pt, arclength + step_len
         if not points:
             ds = spec.ds0
-        elif pt.diagnostics.newton_iters <= 3:
+        elif pt.diagnostics.jacobians <= 2:
             ds = min(2.0 * ds, spec.ds_max)
         points.append(replace(pt, arclength=arclength))
     return branch

@@ -17,6 +17,7 @@ from agebranch import (
     build_grid,
     continue_branch,
     field_norm,
+    jacobian,
     make_spec,
     total_population,
     weighted_inner,
@@ -217,9 +218,25 @@ def test_criterion_10_determinism(branch_run, tmp_path_factory):
     report(10, first == second, f"branch CSV byte-identical ({len(first)} bytes)")
 
 
-def test_shipped_branch_keeps_its_points_and_newton_iterations(branch_points):
-    # pins the corrector's point sequence: 25 points, three Newton iterations each
+def test_shipped_branch_keeps_its_points_and_newton_iterations(branch_points, logistic_setup,
+                                                               monkeypatch):
+    # pins the corrector's point sequence: 25 points, each from one Jacobian
+    # and 3-5 Newton iterations (the rest are chord steps)
+    import agebranch.solver as solver_module
+
     _, points = branch_points
     iters = [pt.diagnostics.newton_iters for pt in points]
     assert len(points) == 25
-    assert iters == [3] * 25
+    assert iters == [4, 3, 4, 5, 5, 5, 4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+
+    # 25 accepted corrections and the one that left the box: one Jacobian each
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return jacobian(*args)
+
+    monkeypatch.setattr(solver_module, "jacobian", counted)
+    branch = continue_branch(*logistic_setup)
+    assert [pt.lam for pt in branch.points] == [pt.lam for pt in points]
+    assert len(calls) == 26

@@ -242,6 +242,8 @@ def test_resolution_scale_sharpens_the_estimate(tmp_path):
     e1 = abs(json.loads((out1 / "eigenpair.json").read_text())["lambda0"] - exact)
     e2 = abs(json.loads((out2 / "eigenpair.json").read_text())["lambda0"] - exact)
     assert e2 < e1
+    assert [json.loads((out / "eigenpair.json").read_text())["resolution_scale"]
+            for out in (out1, out2)] == [1, 4]
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +349,34 @@ def test_verify_reads_neither_continuation_nor_seed(small_run, tmp_path, capsys)
     assert run_command(["verify", "--config", write_cfg(tmp_path, cfg),
                         "--out", str(out)]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_at_another_resolution_scale_names_both_scales(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, SMALL_LOGISTIC)
+    out = tmp_path / "scaled"
+    assert run_command(["continue", "--config", cfg_path, "--out", str(out),
+                        "--resolution-scale", "2"]) == 0
+    assert read_branch_outputs(out)[0]["resolution_scale"] == 2
+    capsys.readouterr()
+    assert run_command(["verify", "--config", cfg_path, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "computed at resolution scale 2, verified at resolution scale 1" in captured.err
+    assert captured.out == ""
+    assert run_command(["verify", "--config", cfg_path, "--out", str(out),
+                        "--resolution-scale", "2"]) == 0
+
+
+def test_branch_meta_without_a_scale_reads_as_scale_1(small_run, tmp_path, capsys):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    meta = json.loads((copy / "branch_meta.json").read_text())
+    assert meta.pop("resolution_scale") == 1
+    (copy / "branch_meta.json").write_text(json.dumps(meta))
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 0
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy),
+                        "--resolution-scale", "3"]) == 4
+    assert "computed at resolution scale 1, verified at resolution scale 3" in \
+        capsys.readouterr().err
 
 
 def test_a_shorter_rerun_leaves_no_stale_snapshot(small_run, tmp_path):

@@ -23,8 +23,14 @@ from agebranch.errors import SingularSystemError, StepFailureError
 from agebranch.operators import assemble_elliptic, birth_functional, evolve
 from agebranch.oracles import equilibrium_intensity, homogeneous_profile, survival_sum
 from agebranch.model import trace_norm
-from agebranch.solver import BranchPoint, _tangent_source
-from agebranch.spectral import bifurcation_point
+from agebranch.solver import (
+    BranchPoint,
+    _factor_bordered,
+    _finish_point,
+    _tangent_source,
+    dgetrs,
+)
+from agebranch.spectral import bifurcation_point, perron_eigenpair
 from conftest import divergence_form
 
 
@@ -395,6 +401,17 @@ def test_amplitude_constraint_off_the_trivial_branch_is_singular(constant_spec, 
                        constant_spec, g)
 
 
+def test_bordered_factors_refuse_a_zero_pivot_and_a_large_condition_estimate():
+    with pytest.raises(SingularSystemError) as err:
+        _factor_bordered(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    assert err.value.condition_estimate == np.inf
+    with pytest.raises(SingularSystemError) as err:
+        _factor_bordered(np.diag([1.0, 1e-14]))
+    assert err.value.condition_estimate == pytest.approx(1e14)
+    lu, piv = _factor_bordered(np.diag([1.0, 1e-12]))
+    assert dgetrs(lu, piv, np.array([1.0, 1e-12]))[0] == pytest.approx([1.0, 1.0])
+
+
 def test_first_point_converges_quickly(logistic):
     spec, g = logistic
     bif = bifurcation_point(spec, g)
@@ -421,13 +438,10 @@ def test_exhausted_iteration_budget_raises_step_failure(monkeypatch):
     assert err.value.residual_norm >= 0.0
 
 
-def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_branch,
-                                                             monkeypatch):
-    # secant predictor through two branch points, as in continue_branch
-    import agebranch.solver as solver_module
-
+def secant_correction(logistic, logistic_branch):
+    """The arguments of ``newton_correct`` for a step of 0.1 along the secant
+    through points 1 and 2 of the branch, as ``continue_branch`` builds them."""
     spec, g = logistic
-    n = g.n_x
     prev, current = logistic_branch.points[1:3]
     U_prev, U_cur = total_population(prev.u, g), total_population(current.u, g)
     dlam, dv = current.lam - prev.lam, current.v - prev.v
@@ -436,7 +450,12 @@ def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_
     ds = 0.1
     constraint = AffineConstraint(tau_lam, g.dx * tau_v)
     lam_pred, v_pred = current.lam + ds * tau_lam, current.v + ds * tau_v
-    target = constraint(lam_pred, v_pred)
+    return (lam_pred, v_pred, constraint, constraint(lam_pred, v_pred), spec, g), \
+        {"U": U_cur + ds * tau_U}
+
+
+def counted_jacobians(monkeypatch) -> list:
+    import agebranch.solver as solver_module
 
     calls = []
 
@@ -445,11 +464,40 @@ def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_
         return jacobian(*args)
 
     monkeypatch.setattr(solver_module, "jacobian", counted)
-    pt = newton_correct(lam_pred, v_pred, constraint, target, spec, g, U=U_cur + ds * tau_U)
+    return calls
+
+
+def recorded_residuals(monkeypatch, g) -> list:
+    """Record ``hypot(|R_v|, |R_U|)`` of each iterate, read from the
+    right-hand side of each ``dgetrs`` solve."""
+    import agebranch.solver as solver_module
+
+    residuals, solve, n = [], solver_module.dgetrs, g.n_x
+
+    def recorded(lu, piv, rhs):
+        residuals.append(np.hypot(trace_norm(rhs[:n], g), trace_norm(rhs[n:2 * n], g)))
+        return solve(lu, piv, rhs)
+
+    monkeypatch.setattr(solver_module, "dgetrs", recorded)
+    return residuals
+
+
+def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_branch,
+                                                             monkeypatch):
+    args, kwargs = secant_correction(logistic, logistic_branch)
+    constraint, target, spec, g = args[2:]
+    n = g.n_x
+    calls = counted_jacobians(monkeypatch)
+    residuals = recorded_residuals(monkeypatch, g)
+    pt = newton_correct(*args, **kwargs)
     iters = pt.diagnostics.newton_iters
-    assert iters >= 2
-    # every iteration but the certifying one assembles a Jacobian
-    assert len(calls) == iters - 1
+    assert iters >= 3
+    # the first iteration assembles; every later one is a chord step on its
+    # factors, each cutting the residual at least tenfold until it converges
+    assert len(calls) == pt.diagnostics.jacobians == 1
+    assert len(residuals) == iters
+    for before, after in zip(residuals, residuals[1:]):
+        assert after <= 0.1 * before or after <= spec.newton_tol
 
     # a fresh exact Newton step at the returned point certifies it too
     U = total_population(pt.u, g)
@@ -462,6 +510,27 @@ def test_converged_point_is_certified_without_a_new_jacobian(logistic, logistic_
                           U - total_population(u, g), [constraint(pt.lam, pt.v) - target]])
     step = np.linalg.solve(bordered, -rhs)
     assert np.hypot(trace_norm(step[:n], g), step[2 * n]) <= spec.newton_tol
+
+
+def test_a_chord_step_that_does_not_contract_forces_a_new_jacobian(logistic, logistic_branch,
+                                                                   monkeypatch):
+    import agebranch.solver as solver_module
+
+    args, kwargs = secant_correction(logistic, logistic_branch)
+    reference = newton_correct(*args, **kwargs)
+    calls = counted_jacobians(monkeypatch)
+    # halve the first chord step: the residual then falls by about half, not tenfold
+    solves, solve = [], solver_module.dgetrs
+
+    def halved_second(lu, piv, rhs):
+        solves.append(rhs)
+        step, info = solve(lu, piv, rhs)
+        return (0.5 * step if len(solves) == 2 else step), info
+
+    monkeypatch.setattr(solver_module, "dgetrs", halved_second)
+    pt = newton_correct(*args, **kwargs)
+    assert len(calls) == pt.diagnostics.jacobians == 2
+    assert abs(pt.lam - reference.lam) <= 1e-12 * abs(reference.lam)
 
 
 # -- continuation ----------------------------------------------------------------
@@ -520,6 +589,60 @@ def test_trace_is_perron_vector_of_frozen_map(logistic, logistic_branch):
         Q = next_generation_operator(pt.u, spec, g)
         defect = np.max(np.abs(pt.lam * Q @ pt.v - pt.v))
         assert defect <= 1e-8 * np.max(np.abs(pt.v))
+
+
+def habitat_model(n_x=12, n_a=40):
+    """A birth rate with a profile in x, b = 1 + 0.8 cos(pi x) over the nodes,
+    with mu = 1 + z and d = 0.05 + 0.5 z^2: a branch whose U varies in x."""
+    profile = 1.0 + 0.8 * np.cos(np.pi * np.linspace(0.0, 1.0, n_x))
+    return ModelSpec(
+        d=lambda z: 0.05 + 0.5 * np.asarray(z, dtype=float) ** 2,
+        d_prime=lambda z: np.asarray(z, dtype=float),
+        mu=lambda z, a: 1.0 + z + 0.0 * a, mu_z=lambda z, a: np.ones_like(z + a),
+        b=lambda z, a: profile + 0.0 * (z + a), b_z=lambda z, a: np.zeros_like(z + a),
+        d_lower=0.05, n_x=n_x, n_a=n_a,
+    )
+
+
+def test_radius_of_each_point_is_the_perron_radius_from_one_march():
+    spec = habitat_model()
+    g = build_grid(spec)
+    branch = continue_branch(spec, g)
+    assert len(branch.points) >= 100
+    assert max(np.ptp(total_population(pt.u, g)) for pt in branch.points) >= 0.5
+    for pt in branch.points:
+        dense = perron_eigenpair(next_generation_operator(pt.u, spec, g), weights=g.w_x).radius
+        assert abs(pt.diagnostics.next_gen_radius - dense) <= 1e-13 * dense
+        # the Collatz-Wielandt ratios of the positive trace bracket the radius;
+        # their spread is the converged residual over v (up to 1.2e-12 here)
+        U = total_population(pt.u, g)
+        ratios = birth_functional(U, evolve(U, pt.v, spec, g), 1.0, spec, g) / pt.v
+        assert ratios.min() - 1e-14 * dense <= dense <= ratios.max() + 1e-14 * dense
+        assert ratios.max() - ratios.min() <= 1e-11 * dense
+
+
+def test_a_trace_with_a_zero_entry_takes_the_dense_radius(monkeypatch):
+    import agebranch.solver as solver_module
+
+    spec = habitat_model()
+    g = build_grid(spec)
+    v = np.linspace(0.0, 1.0, g.n_x)
+    U = np.full(g.n_x, 0.3)
+    u = evolve(U, v, spec, g)
+    dense = perron_eigenpair(next_generation_operator(u, spec, g), weights=g.w_x).radius
+    assembled = []
+
+    def counted(*args):
+        assembled.append(args[0])
+        return next_generation_operator(*args)
+
+    monkeypatch.setattr(solver_module, "next_generation_operator", counted)
+    pt = _finish_point(1.0, v, u, 0.0, 0, 0, spec, g)
+    assert len(assembled) == 1
+    assert pt.diagnostics.next_gen_radius == dense
+    positive = v + 0.1
+    _finish_point(1.0, positive, evolve(U, positive, spec, g), 0.0, 0, 0, spec, g)
+    assert len(assembled) == 1
 
 
 def test_branch_turns_the_fold_to_the_box():
@@ -586,6 +709,28 @@ def test_a_step_that_never_converges_halves_ds_down_to_ds_min(logistic, monkeypa
     assert np.allclose(ds[1:], 0.5 * np.array(ds[:-1]), rtol=1e-9)
     # the last step tried is the last at or above ds_min: its half is the first below
     assert ds[-1] >= spec.ds_min > 0.5 * ds[-1]
+
+
+def test_the_step_doubles_after_a_point_of_at_most_two_jacobians(logistic, monkeypatch):
+    import agebranch.solver as solver_module
+
+    spec, g = logistic
+    spec = replace(spec, ds0=0.05, ds_max=1.0, max_points=5)
+    forced = iter([1, 2, 3, 1, 1])  # Jacobians reported for points 0..4
+    calls = []
+
+    def correct(lam, v, *args, **kwargs):
+        calls.append((lam, v))
+        pt = newton_correct(lam, v, *args, **kwargs)
+        return replace(pt, diagnostics=replace(pt.diagnostics, jacobians=next(forced)))
+
+    monkeypatch.setattr(solver_module, "newton_correct", correct)
+    branch = continue_branch(spec, g)
+    assert len(branch.points) == len(calls) == 5
+    ds = [np.hypot(lam - pt.lam, trace_norm(v - pt.v, g))
+          for (lam, v), pt in zip(calls[1:], branch.points)]
+    # ds0 after the first point, doubled after 2 Jacobians, kept after 3
+    assert ds == pytest.approx([0.05, 0.1, 0.1, 0.2], rel=1e-9)
 
 
 def test_box_excluding_the_branch_gives_empty_run(logistic):

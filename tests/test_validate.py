@@ -17,7 +17,7 @@ from agebranch.cli import load_config, read_branch_outputs, spec_from_config, wr
 from agebranch.errors import PositivityError
 from agebranch.operators import assemble_elliptic, birth_functional
 from agebranch.spectral import bifurcation_point, check_simplicity, perron_eigenpair
-from agebranch.validate import kernel_dimension, simulate_transient, verify_branch
+from agebranch.validate import fmt17, kernel_dimension, simulate_transient, verify_branch
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -272,3 +272,33 @@ def test_verify_branch_names_each_spoiled_quantity(logistic_small, exported, fai
     if failing == "point 2 roundtrip":  # the detail names what differs, with both values
         assert {name: detail for name, _, detail in checks}[failing] == (
             f"lambda {snap['lambda']:.17g} vs CSV {row['lambda']:.17g}")
+
+
+@pytest.mark.parametrize("column", ["lambda", "r_Q_u"])
+def test_a_csv_value_off_by_1e_10_fails_the_roundtrip(logistic_small, short_branch, tmp_path,
+                                                      column):
+    # the CSV radius comes from one march of the trace and verify's from the
+    # dense return map: the two agree to round-off, so the 1e-12 bound bites
+    spec, g = logistic_small
+    write_branch_outputs(short_branch, tmp_path, {}, seed=0)
+    csv = tmp_path / "branch.csv"
+    lines = csv.read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    row = lines[3].split(",")  # point 2
+    row[at] = fmt17(float(row[at]) * (1.0 + 1e-10))
+    lines[3] = ",".join(row)
+    csv.write_text("\n".join(lines) + "\n")
+    checks = verify_branch(*read_branch_outputs(tmp_path), spec, g)
+    failed = {name: detail for name, ok, detail in checks if not ok}
+    assert list(failed) == ["point 2 roundtrip"]
+    assert failed["point 2 roundtrip"].startswith(f"{column} ")
+
+
+def test_csv_values_read_back_to_the_same_float(short_branch, exported):
+    _, rows, _ = exported
+    assert [row["lambda"] for row in rows] == [pt.lam for pt in short_branch.points]
+    assert [row["r_Q_u"] for row in rows] == [pt.diagnostics.next_gen_radius
+                                              for pt in short_branch.points]
+    # values that need all 17 significant digits
+    for x in (0.1 + 0.2, np.nextafter(1.0, 2.0), 1.0 / 3.0, -2.5e-17, 5e-324):
+        assert float(fmt17(x)) == x
