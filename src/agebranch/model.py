@@ -13,6 +13,7 @@ package is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
@@ -24,7 +25,8 @@ SpatialField = np.ndarray
 AgeSpaceField = np.ndarray
 
 DiffusivityFun = Callable[[np.ndarray], np.ndarray]
-# ``rate(z, a)``: ``a`` is an array of ages that broadcasts against ``z``
+# ``rate(z, a)``: ``a`` is an array of ages that broadcasts against ``z``; a
+# value without an age axis (all built-in families) holds for every age
 RateFun = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _FD_REL_STEP = 1e-6
@@ -40,6 +42,14 @@ def _central_difference(f):
 
     deriv.fd_of = f
     return deriv
+
+
+def _repeat_rows(row: np.ndarray, n: int) -> np.ndarray:
+    """Read-only view of the contiguous ``row`` repeated ``n`` times on a new
+    leading axis, with stride 0 on that axis."""
+    table = np.ndarray((n,) + row.shape, row.dtype, row, 0, (0,) + row.strides)
+    table.flags.writeable = False
+    return table
 
 
 def _broadcast(values, z: np.ndarray) -> np.ndarray:
@@ -61,7 +71,8 @@ class ModelSpec:
     violation is a hard error.  A rate function is called once per table,
     with ``z`` of shape ``(1,) + z.shape`` and the ages ``a`` as a column of
     shape ``(n_ages,) + (1,) * z.ndim``; its result must broadcast to
-    ``(n_ages,) + z.shape``.
+    ``(n_ages,) + z.shape``.  A death rate whose result has no age axis
+    gives one age-step system per frozen population, factored once.
 
     Derivatives ``d_prime``, ``mu_z``, ``b_z`` (partials in ``z``) are needed
     by the Newton corrector.  When omitted they are replaced by central
@@ -146,31 +157,40 @@ class ModelSpec:
         the coefficient with the ages broadcast against ``z``.  A ``mu`` or
         ``b`` table is checked at once; an entry that is negative or not
         finite is a hard error naming the first such age.  Derivatives may be
-        negative and are not checked."""
+        negative and are not checked.
+
+        A value without an age axis (no axes beyond those of ``z``, or a
+        leading one of length 1) holds for every age: only that row is stored
+        and checked, and the table is a read-only view of it with stride 0 on
+        the age axis.  A value with an age axis gives a writeable table."""
         fun = {"mu": self.mu, "b": self.b, "mu_z": self.mu_z, "b_z": self.b_z}[name]
         z = np.asarray(z, dtype=float)
         ages = np.asarray(ages, dtype=float)
-        values = np.empty((len(ages),) + z.shape)
+        shape = (len(ages),) + z.shape
         result = fun(z[None], ages.reshape((-1,) + (1,) * z.ndim))
+        result_shape = np.shape(result)
+        age_free = math.prod(result_shape[:max(len(result_shape) - z.ndim, 0)]) == 1
+        values = np.empty(z.shape if age_free else shape)
         try:
             values[...] = result
         except ValueError:
             raise ValueError(
-                f"{name}(z, a) returned shape {np.shape(result)}, which does not "
-                f"broadcast to {values.shape}: a rate function receives the ages as "
+                f"{name}(z, a) returned shape {result_shape}, which does not "
+                f"broadcast to {shape}: a rate function receives the ages as "
                 "an array that broadcasts against z") from None
+        table = _repeat_rows(values, len(ages)) if age_free else values
         if name.endswith("_z"):
-            return values
+            return table
         # as in eval_d; the elementwise pass only names the first bad age
-        if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
-            bad = ~(np.isfinite(values) & (values >= 0.0))
-            k = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
-            if not np.all(np.isfinite(values[k])):
+        if table.size and not (values.min() >= 0.0 and values.max() < np.inf):
+            bad = ~(np.isfinite(table) & (table >= 0.0))
+            k = int(np.argmax(bad.reshape(len(table), -1).any(axis=1)))
+            if not np.all(np.isfinite(table[k])):
                 raise CoefficientBoundError(
                     f"{name}(z, a) evaluated to a non-finite value at age {ages[k]:.6g}")
             raise CoefficientBoundError(
-                f"{name}(z, a) = {values[k].min():.6g} is negative at age {ages[k]:.6g}")
-        return values
+                f"{name}(z, a) = {table[k].min():.6g} is negative at age {ages[k]:.6g}")
+        return table
 
     def eval_d_prime(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -236,7 +256,7 @@ def check_shape(a, shape: tuple, name: str = "field") -> np.ndarray:
         raise ValueError(f"{name} is not an array of numbers") from None
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -268,7 +288,7 @@ def field_norm(u: AgeSpaceField, g: Grid) -> float:
     # sums without the conj() copy, and correctly rounded sqrt and positive
     # scaling are monotone, so they commute with the max
     u = np.asarray(u, dtype=float)
-    return float(np.sqrt(g.dx) * np.sqrt(np.add.reduce(u * u, axis=1).max()))
+    return math.sqrt(g.dx) * math.sqrt(np.add.reduce(u * u, axis=1).max())
 
 
 def weighted_inner(a: SpatialField, b: SpatialField, g: Grid) -> float:

@@ -6,17 +6,21 @@ diffusivities are arithmetic means of the nodal values.  The age direction is
 integrated by implicit Euler, which keeps the M-matrix sign pattern and hence
 preserves nonnegativity unconditionally.
 
-Every age march runs through one kernel: the shifted systems of all ages are
-tabulated once per frozen population (one coefficient bound check), and each
-age step is one LAPACK ``dptsv`` (LDL^T) solve in place, for a single trace
-or a block of columns alike.  ``W A`` is symmetric, so each step
+Every age march runs through one kernel.  ``W A`` is symmetric, so each step
 ``M = I + da * A`` is solved as the SPD M-matrix ``S = D M D^-1``,
-``D = diag(1/sqrt2, 1, ..., 1, 1/sqrt2)``, on the state ``D w`` (Golub & Van
-Loan, Matrix Computations, 4.3).
+``D = diag(1/sqrt2, 1, ..., 1, 1/sqrt2)``, on the state ``D w``.  The systems
+of one frozen population are factored once, by one LAPACK ``dpttrf``
+(LDL^T): a single system when the death rate has no age axis, else the block
+of all ages with zero coupling between them.  Each age step is then one
+``dpttrs`` solve in place on the factor of its age, for a single trace or a
+block of columns alike, and the transient's cohorts are the right-hand sides
+of one ``dpttrs`` (Golub & Van Loan, Matrix Computations, 4.3; LAPACK Users'
+Guide, 3rd ed.).
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -46,6 +50,15 @@ _SQRT2 = np.sqrt(2.0)
 _RSQRT2 = 1.0 / _SQRT2
 
 
+@functools.cache
+def _d_scale(n: int) -> np.ndarray:
+    """The diagonal of ``D`` on ``n`` nodes, read-only."""
+    scale = np.ones(n)
+    scale[[0, -1]] = _RSQRT2
+    scale.flags.writeable = False
+    return scale
+
+
 def _load_flapack():
     """scipy's compiled LAPACK wrappers, loaded without the ``scipy.linalg``
     package: its ``__init__`` builds scipy's array-API layer, which touches
@@ -63,7 +76,8 @@ def _load_flapack():
     return sys.modules[name]
 
 
-dptsv = _load_flapack().dptsv
+_flapack = _load_flapack()
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
 def solve_banded(*args, **kwargs):
@@ -111,19 +125,15 @@ def _diffusion_bands(U: np.ndarray, spec: ModelSpec, g: Grid):
     at the frozen population ``U``; the coupling of each face is
     ``-face / dx^2``.
 
-    Face diffusivities are arithmetic means of nodal values; the ghost-node
-    reflection doubles the single face at each boundary row.
+    Face diffusivities are arithmetic means of nodal values.  The ghost nodes
+    of the Neumann closure reflect the nodes next to the boundary, so each
+    boundary row sees its single face twice.
     """
     d_nodes = spec.eval_d(U)
-    face = 0.5 * (d_nodes[:-1] + d_nodes[1:])
+    ghosted = np.concatenate((d_nodes[1:2], d_nodes, d_nodes[-2:-1]))
+    face = 0.5 * (ghosted[:-1] + ghosted[1:])
     inv_dx2 = 1.0 / g.dx**2
-
-    coupling = -face * inv_dx2
-    diag = np.empty_like(d_nodes)
-    diag[1:-1] = (face[:-1] + face[1:]) * inv_dx2
-    diag[0] = 2.0 * face[0] * inv_dx2
-    diag[-1] = 2.0 * face[-1] * inv_dx2
-    return coupling, diag
+    return face[1:-1] * -inv_dx2, (face[:-1] + face[1:]) * inv_dx2
 
 
 def assemble_elliptic(U: SpatialField, age, spec: ModelSpec, g: Grid) -> EllipticOperator:
@@ -142,32 +152,32 @@ def assemble_elliptic(U: SpatialField, age, spec: ModelSpec, g: Grid) -> Ellipti
 
 
 def _age_systems(U: np.ndarray, spec: ModelSpec, g: Grid, ages: np.ndarray):
-    """Symmetrized implicit age-step systems ``S = D (I + da * A(U, a)) D^-1``
-    at each of ``ages`` for one frozen population ``U`` (n_x,).  Returns the
-    diagonal table (len(ages), n_x), that of ``I + da * A`` with ``mu``
-    tabulated and bound-checked once, and the off-diagonal (n_x,) with a zero
-    last entry: ``da`` times the face coupling, times ``sqrt2`` on the two
-    boundary faces that the Neumann closure doubles."""
+    """LDL^T factors of the symmetrized implicit age-step systems
+    ``S = D (I + da * A(U, a)) D^-1`` at ``ages`` for one frozen population
+    ``U`` (n_x,), from one ``mu`` table (one coefficient call and bound
+    check) and one LAPACK ``dpttrf``.  The off-diagonal of ``S`` is ``da``
+    times the face coupling, times ``sqrt2`` on the two boundary faces that
+    the Neumann closure doubles.
+
+    Returns the factor diagonals and off-diagonals ``(d, e)``, both
+    (rows, n_x), ``e`` with a zero last column.  A ``mu`` without an age axis
+    gives one system for every age, ``rows = 1``; otherwise row ``k`` factors
+    the step at ``ages[k]``, all rows as one block tridiagonal system whose
+    zero coupling between ages leaves each row's factor as if factored alone.
+    """
     coupling, dif_diag = _diffusion_bands(U, spec, g)
-    off = np.zeros_like(dif_diag)
-    np.multiply(coupling, g.da, out=off[:-1])
-    off[[0, -2]] *= _SQRT2
-    # 1 + da * (d + mu), in place: the table is the largest array of a march
-    diag = spec.rate_table("mu", U, ages)
-    diag += dif_diag
+    mu = spec.rate_table("mu", U, ages)
+    diag = (mu[:1] if mu.strides[0] == 0 else mu) + dif_diag
     diag *= g.da
     diag += 1.0
+    off = np.zeros(diag.shape)
+    np.multiply(coupling, g.da, out=off[:, :-1])
+    off[:, :-1:g.n_x - 2] *= _SQRT2  # the first and last face
+    # factored in place: the tables become the factors
+    info = dpttrf(diag.reshape(-1), off.reshape(-1)[:-1], overwrite_d=True, overwrite_e=True)[-1]
+    if info > 0:
+        raise ArithmeticError(f"implicit age step is not positive definite (dpttrf info {info})")
     return diag, off
-
-
-def _solve_age_step(diag, off, rhs, overwrite_off: bool = False) -> None:
-    """One LAPACK ``dptsv`` (LDL^T) solve of a symmetric (block-)tridiagonal
-    age step in place: ``rhs`` (contiguous, column-major if 2-D) becomes the
-    solution and ``diag`` its factor; ``off`` is kept unless ``overwrite_off``."""
-    info = dptsv(diag, off, rhs, overwrite_d=True, overwrite_e=overwrite_off,
-                 overwrite_b=True)[-1]
-    if info != 0:
-        raise ArithmeticError(f"implicit age step is not positive definite (dptsv info {info})")
 
 
 def _check_finite(w: np.ndarray) -> np.ndarray:
@@ -231,14 +241,15 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
         src = g.da * check_shape(source, out.shape, "source")
         src[:, ::n - 1] *= _RSQRT2
 
-    diag, off = _age_systems(U, spec, g, g.a_nodes)
-    off = off[:-1]
+    # the factor of each age: one row repeated, or one row per age
+    d, e = (np.broadcast_to(f, out.shape[:1] + f.shape[1:])
+            for f in _age_systems(U, spec, g, g.a_nodes))
     for k in range(1, g.n_a + 1):
         if banded:
             flat[band_at] += bands[k]
         elif source is not None:
             w += src[k]
-        _solve_age_step(diag[k], off, w)
+        dpttrs(d[k], e[k, :-1], w, overwrite_b=True)
         out[k] = w
     out[:, ::n - 1] *= _SQRT2
     out[0] = w0
@@ -246,26 +257,26 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
 
 
 def advance_cohorts(U: SpatialField, u: AgeSpaceField, spec: ModelSpec, g: Grid,
-                    out: np.ndarray | None = None, off: np.ndarray | None = None
-                    ) -> np.ndarray:
+                    out: np.ndarray | None = None) -> np.ndarray:
     """One implicit age step for every cohort of ``u`` under one frozen ``U``.
 
     Row ``k - 1`` of ``u`` moves to age node ``k``, solving
-    ``(I + da * A(U, a_k)) w = u[k - 1]`` for k = 1..n_a.  The n_a systems
-    differ only in their death rate and go through one block ``dptsv`` solve in
-    place; returns the (n_a, n_x) rows at ages 1..n_a, written into ``out``
-    when given (C-contiguous).  ``off`` is an (n_a, n_x) scratch buffer for the
-    block off-diagonal, so that a trajectory allocates it once.  ``U`` and
-    ``u`` are used as given: a stepper validates its field once, not per step.
+    ``(I + da * A(U, a_k)) w = u[k - 1]`` for k = 1..n_a, by one ``dpttrs``
+    in place: with a death rate without an age axis the n_a cohorts are the
+    right-hand sides of the one factored system, otherwise one block system
+    of all ages.  The cohorts are copied and scaled by ``D`` in one pass.
+    Returns the (n_a, n_x) rows at ages 1..n_a, written into ``out`` when
+    given (C-contiguous).  ``U`` and ``u`` are used as given: a stepper
+    validates its field once, not per step.
     """
     n = g.n_x
     out = np.empty((g.n_a, n)) if out is None else out
-    off = np.empty((g.n_a, n)) if off is None else off
-    diag, off_U = _age_systems(U, spec, g, g.a_nodes[1:])
-    off[...] = off_U  # dptsv overwrites the buffer with its factor
-    out[...] = u[:-1]
-    out[:, ::n - 1] *= _RSQRT2
-    _solve_age_step(diag.reshape(-1), off.reshape(-1)[:-1], out.reshape(-1), overwrite_off=True)
+    d, e = _age_systems(U, spec, g, g.a_nodes[1:])
+    np.multiply(u[:-1], _d_scale(n), out=out)
+    if len(d) == 1:
+        dpttrs(d[0], e[0, :-1], out.T, overwrite_b=True)
+    else:
+        dpttrs(d.reshape(-1), e.reshape(-1)[:-1], out.reshape(-1), overwrite_b=True)
     out[:, ::n - 1] *= _SQRT2
     return _check_finite(out)
 

@@ -193,21 +193,21 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
     previous iterate's, and reassembles and refactors otherwise; an iterate
     whose residuals already meet ``newton_tol`` takes its certifying step on
     the stored factors.  ``max_newton`` bounds every iteration, chord steps
-    included.  The singularity test compares LAPACK ``dgecon``'s 1-norm
-    reciprocal condition estimate, which is within about a factor
-    ``2 n_x + 1`` of the 2-norm condition number, with ``_COND_LIMIT``; an
-    exact zero pivot is singular too.  From the trivial branch with a
-    pure amplitude constraint the bordered matrix is singular (the intensity
-    column vanishes at ``v = 0``), which raises :class:`SingularSystemError`;
-    linear models have no nontrivial solutions off the critical intensity for
-    the corrector to find.
+    included; the iterate after the last allowed step is only evaluated, and
+    stops the corrector unless it has converged.  The singularity test
+    compares LAPACK ``dgecon``'s 1-norm reciprocal condition estimate, which
+    is within about a factor ``2 n_x + 1`` of the 2-norm condition number,
+    with ``_COND_LIMIT``; an exact zero pivot is singular too.  From the
+    trivial branch with a pure amplitude constraint the bordered matrix is
+    singular (the intensity column vanishes at ``v = 0``), which raises
+    :class:`SingularSystemError`; linear models have no nontrivial solutions
+    off the critical intensity for the corrector to find.
     """
     v = np.array(v, dtype=float, copy=True)
     U = np.zeros(g.n_x) if U is None else np.array(U, dtype=float, copy=True)
     lam = float(lam)
     n = g.n_x
     last_step = 0.0
-    rnorm = np.inf
     factors, jacobians, previous = None, 0, np.inf
 
     for newton_iters in range(spec.max_newton + 1):
@@ -221,6 +221,8 @@ def newton_correct(lam: float, v: SpatialField, constraint: AffineConstraint,
                      and abs(cres) <= spec.newton_tol * (1.0 + abs(target)))
         if converged and last_step <= spec.newton_tol:
             return _finish_point(lam, v, u, rnorm, newton_iters, jacobians, spec, g)
+        if newton_iters == spec.max_newton:
+            break
 
         residual = float(np.hypot(rnorm, unorm))
         if factors is None or not (converged or residual <= _CHORD_CONTRACTION * previous):

@@ -55,10 +55,12 @@ def simulate_transient(u0: AgeSpaceField, lam: float, n_steps: int,
     The birth quadrature keeps the pre-step newborn row as its age-zero
     contribution, so stationary solutions reproduce themselves exactly.
 
-    The field is validated once, here.  Each step builds its cohort block once
-    (one ``d`` evaluation, one ``mu`` table for ages 1..n_a, the off-diagonal
-    in a buffer kept for the trajectory) and solves it by one symmetric
-    ``dptsv`` in place into rows 1..n_a of the new field.
+    The field is validated once, here.  Each step factors its one age system
+    (one ``d`` evaluation, one ``mu`` table for ages 1..n_a; a block of all
+    ages when ``mu`` has an age axis) and solves the cohorts, copied and
+    scaled in one pass, by one ``dpttrs`` in place into rows 1..n_a of the
+    new field.  A birth row that is not finite is an ``ArithmeticError``
+    naming the step.
     """
     u = check_age_space(u0, g, "initial field").copy()
     if u.min() < 0.0:
@@ -66,13 +68,15 @@ def simulate_transient(u0: AgeSpaceField, lam: float, n_steps: int,
 
     drift: list[float] = []
     minima: list[float] = []
-    off = np.empty((g.n_a, g.n_x))
-    for _ in range(n_steps):
+    for step in range(1, n_steps + 1):
         U = g.w_a @ u
         new = np.empty_like(u)
-        advance_cohorts(U, u, spec, g, out=new[1:], off=off)
+        advance_cohorts(U, u, spec, g, out=new[1:])
         new[0] = u[0]
         new[0] = birth_functional(U, new, lam, spec, g)
+        if not np.isfinite(new[0]).all():
+            raise ArithmeticError(
+                f"transient step {step}: the birth integral produced non-finite values")
         low = float(new.min())
         if low < -spec.pos_tol:
             raise PositivityError(f"transient step produced entry {low:.3e} below -pos_tol")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import agebranch
 from agebranch import build_grid, make_spec, total_population
 from agebranch.errors import CoefficientBoundError
-from agebranch.model import ModelSpec
+from agebranch.model import FAMILY_NAMES, ModelSpec
 from agebranch.operators import (
     _age_systems,
     advance_cohorts,
@@ -19,6 +20,8 @@ from agebranch.operators import (
     next_generation_operator,
 )
 from agebranch.oracles import survival_sum
+from agebranch.solver import full_residual, jacobian
+from agebranch.validate import simulate_transient
 from conftest import divergence_form, to_dense
 
 
@@ -330,6 +333,24 @@ def test_non_finite_age_step_is_an_arithmetic_error(logistic_grid):
         evolve(np.zeros(g.n_x), np.ones(g.n_x), spec, g)
 
 
+@pytest.mark.parametrize("run", [
+    lambda U, u, spec, g: evolve(U, u[0], spec, g),
+    lambda U, u, spec, g: advance_cohorts(U, u, spec, g),
+])
+def test_indefinite_age_step_is_an_arithmetic_error(run, logistic_spec, logistic_grid,
+                                                    monkeypatch):
+    # no admissible coefficient gets here (mu >= 0 and d >= d_lower make every
+    # step SPD), so the diffusion diagonal is forced negative
+    import agebranch.operators as operators
+
+    bands = operators._diffusion_bands
+    monkeypatch.setattr(operators, "_diffusion_bands",
+                        lambda *args: (bands(*args)[0], np.full(logistic_grid.n_x, -1e6)))
+    g = logistic_grid
+    with pytest.raises(ArithmeticError, match=r"not positive definite \(dpttrf info 1\)"):
+        run(np.zeros(g.n_x), np.ones((g.n_a + 1, g.n_x)), logistic_spec, g)
+
+
 def test_cohort_step_matches_row_solves(rng, model_at):
     spec = model_at(12, 40)
     g = build_grid(spec)
@@ -346,20 +367,97 @@ def test_age_systems_are_the_symmetrized_steps(rng, model_at):
     # the march solves S = D M D^-1 with D = diag(1/sqrt2, 1, ..., 1, 1/sqrt2),
     # M = I + da * A the assembled step; S is symmetric and, as I plus da
     # times a matrix similar to a positive semidefinite one, SPD with
-    # spectrum at or above 1
+    # spectrum at or above 1.  The tables hold its LDL^T factors at every age:
+    # S = L diag(d) L^T with L unit lower bidiagonal, subdiagonal e
     spec = model_at(12, 40)
     g = build_grid(spec)
     U = rng.random(g.n_x)
-    diag, off = _age_systems(U, spec, g, g.a_nodes)
-    assert diag.shape == (g.n_a + 1, g.n_x) and off.shape == (g.n_x,)
-    assert off[-1] == 0.0
+    d, e = _age_systems(U, spec, g, g.a_nodes)
+    # one system for every age when mu has no age axis (the built-in families)
+    rows = 1 if spec.family is not None else g.n_a + 1
+    assert d.shape == e.shape == (rows, g.n_x)
+    assert np.all(e[:, -1] == 0.0)
     scale = np.ones(g.n_x)
     scale[[0, -1]] = np.sqrt(0.5)
     for k, age in enumerate(g.a_nodes):
         M = np.eye(g.n_x) + g.da * to_dense(assemble_elliptic(U, age, spec, g))
-        S = np.diag(diag[k]) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+        L = np.eye(g.n_x) + np.diag(e[k % rows, :-1], -1)
+        S = L @ np.diag(d[k % rows]) @ L.T
         assert np.allclose(S, scale[:, None] * M / scale[None, :], rtol=1e-15, atol=0.0)
         assert np.linalg.eigvalsh(S).min() >= 1.0 - 1e-12
+
+
+def _with_age_axis(base: ModelSpec) -> ModelSpec:
+    """``base`` with each rate and its z-partial written with an explicit age
+    axis: the same values, but one row per age."""
+    def aged(f):
+        return lambda z, a: f(z, a) + 0.0 * a
+
+    return replace(base, mu=aged(base.mu), b=aged(base.b), mu_z=aged(base.mu_z),
+                   b_z=aged(base.b_z))
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_age_free_rates_give_the_numbers_of_an_age_axis(family, rng):
+    # one factored system for every age, or one per age: the same arithmetic
+    base = make_spec(family, {"kappa": 1.3} if family != "constant" else None,
+                     n_x=12, n_a=40)
+    aged = _with_age_axis(base)
+    g = build_grid(base)
+    U, v = rng.random(g.n_x), rng.random(g.n_x)
+    u = rng.random((g.n_a + 1, g.n_x))
+    source = rng.random((g.n_a + 1, g.n_x))
+    bands = (rng.random((g.n_a + 1, g.n_x - 1)), rng.random((g.n_a + 1, g.n_x)),
+             rng.random((g.n_a + 1, g.n_x - 1)))
+    for name in ("mu", "b", "mu_z", "b_z"):
+        shared = base.rate_table(name, U, g.a_nodes)
+        assert shared.strides[0] == 0 and not shared.flags.writeable
+        table = aged.rate_table(name, U, g.a_nodes)
+        assert table.strides[0] != 0 and table.flags.writeable
+        assert np.array_equal(table, shared)
+
+    def outputs(spec):
+        state = simulate_transient(u, 1.7, 10, spec, g)
+        return [evolve(U, v, spec, g),
+                evolve(U, np.eye(g.n_x), spec, g),
+                evolve(U, v, spec, g, source=source),
+                evolve(U, np.zeros((g.n_x, g.n_x)), spec, g, source=bands),
+                advance_cohorts(U, u, spec, g),
+                state.field, state.drift_history, state.min_history,
+                next_generation_operator(u, spec, g),
+                jacobian(1.7, U, u, spec, g),
+                full_residual(1.7, u, spec, g)]
+
+    for got, want in zip(outputs(aged), outputs(base), strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("run, age_index", [
+    (lambda U, u, spec, g: evolve(U, u[0], spec, g), 0),
+    (lambda U, u, spec, g: advance_cohorts(U, u, spec, g), 1),
+    (lambda U, u, spec, g: simulate_transient(u, 1.0, 1, spec, g), 1),
+])
+def test_age_free_negative_death_rate_names_the_age(run, age_index):
+    spec = ModelSpec(d=lambda z: np.ones_like(z), mu=lambda z, a: -np.ones_like(z),
+                     b=lambda z, a: np.ones_like(z), d_lower=0.5, n_x=6, n_a=10)
+    g = build_grid(spec)
+    with pytest.raises(CoefficientBoundError,
+                       match=rf"^mu\(z, a\) = -1 is negative at age {g.a_nodes[age_index]:.6g}$"):
+        run(np.ones(g.n_x), np.ones((g.n_a + 1, g.n_x)), spec, g)
+
+
+@pytest.mark.parametrize("run", [
+    lambda U, u, spec, g: simulate_transient(u, 1.0, 1, spec, g),
+    lambda U, u, spec, g: birth_functional(U, u, 1.0, spec, g),
+    lambda U, u, spec, g: next_generation_operator(u, spec, g),
+])
+def test_age_free_non_finite_birth_rate_names_the_age(run):
+    spec = ModelSpec(d=lambda z: np.ones_like(z), mu=lambda z, a: np.ones_like(z),
+                     b=lambda z, a: np.full_like(z, np.inf), d_lower=0.5, n_x=6, n_a=10)
+    g = build_grid(spec)
+    with pytest.raises(CoefficientBoundError,
+                       match=r"^b\(z, a\) evaluated to a non-finite value at age 0$"):
+        run(np.ones(g.n_x), np.ones((g.n_a + 1, g.n_x)), spec, g)
 
 
 def test_divergence_form_matches_assembled_operator(rng):
@@ -381,7 +479,8 @@ import agebranch
 import agebranch.operators as operators
 import scipy.linalg
 from agebranch import assemble_elliptic, build_grid, evolve, make_spec
-assert scipy.linalg.lapack.dptsv is operators.dptsv
+assert scipy.linalg.lapack.dpttrf is operators.dpttrf
+assert scipy.linalg.lapack.dpttrs is operators.dpttrs
 spec = make_spec("logistic_death", n_x=12, n_a=40)
 g = build_grid(spec)
 rng = np.random.default_rng(7)

@@ -424,6 +424,9 @@ def test_first_point_converges_quickly(logistic):
 
 
 def test_exhausted_iteration_budget_raises_step_failure(monkeypatch):
+    # the budget of one step is spent by the first iterate; the second is
+    # evaluated and stops the corrector without another solve
+    import agebranch.solver as solver
     from agebranch.errors import StepFailureError
 
     monkeypatch.setattr(ModelSpec, "max_newton", 1)
@@ -432,10 +435,18 @@ def test_exhausted_iteration_budget_raises_step_failure(monkeypatch):
     bif = bifurcation_point(spec, g)
     constraint = AffineConstraint(0.0, g.w_x * bif.psi0)
     target = 0.01 * weighted_inner(bif.psi0, bif.phi0, g)
+    solves = []
+
+    def counted_dgetrs(*args, **kwargs):
+        solves.append(1)
+        return dgetrs(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dgetrs", counted_dgetrs)
     with pytest.raises(StepFailureError) as err:
         newton_correct(bif.lambda0, 0.01 * bif.phi0, constraint, target, spec, g)
     assert err.value.iterations == 1
     assert err.value.residual_norm >= 0.0
+    assert len(solves) == 1
 
 
 def secant_correction(logistic, logistic_branch):

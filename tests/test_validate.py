@@ -151,6 +151,17 @@ def test_positivity_error_message_path(logistic_small, monkeypatch):
         simulate_transient(u0, 1.0, 1, spec, g)
 
 
+@pytest.mark.parametrize("n_steps", [1, 2])
+def test_non_finite_birth_row_names_the_birth_integral(n_steps):
+    # every input is finite, but the birth integral overflows on the first step
+    spec = make_spec("constant", {"b0": 1e300}, n_x=6, n_a=10)
+    g = build_grid(spec)
+    u0 = np.full((g.n_a + 1, g.n_x), 1e10)
+    with pytest.raises(ArithmeticError, match="^transient step 1: the birth integral "
+                                              "produced non-finite values$"):
+        simulate_transient(u0, 1.0, n_steps, spec, g)
+
+
 # -- kernel dimension ------------------------------------------------------------
 
 def test_kernel_is_one_dimensional_at_crossing(logistic_small):
