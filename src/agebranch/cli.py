@@ -268,11 +268,14 @@ def _require_keys(payload, keys, path: Path, what: str) -> None:
             node = node[part]
 
 
-def _number(payload: dict, key: str, path: Path, what: str, kind: str = "number"):
+def _number(payload: dict, key: str, path: Path, what: str, kind: str = "number",
+            minimum=None):
     """``payload[key]`` as a float, or as an int when ``kind`` is "integer";
     anything but a finite JSON number of that kind (a string, a bool, null,
-    NaN, ``8.0`` for an integer) is a ConfigError naming ``path`` and ``key``."""
-    violation = _schema_violation(payload[key], {"type": kind})
+    NaN, ``8.0`` for an integer), or one below ``minimum`` when given, is a
+    ConfigError naming ``path`` and ``key``."""
+    schema = {"type": kind} if minimum is None else {"type": kind, "minimum": minimum}
+    violation = _schema_violation(payload[key], schema)
     if violation is not None:
         raise ConfigError(f"{path}: {what} '{key}': {violation[1]}")
     return payload[key] if kind == "integer" else float(payload[key])
@@ -287,7 +290,7 @@ def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
     meta = _read_json(meta_path, "branch metadata")
     _require_keys(meta, ("lambda0", "n_points"), meta_path, "branch metadata")
     meta["lambda0"] = _number(meta, "lambda0", meta_path, "branch metadata")
-    n_points = _number(meta, "n_points", meta_path, "branch metadata", "integer")
+    n_points = _number(meta, "n_points", meta_path, "branch metadata", "integer", minimum=0)
     csv_lines = _read_text(csv_path, "branch CSV").rstrip().splitlines()
     header = ",".join(BRANCH_CSV_COLUMNS)
     if not csv_lines or csv_lines[0] != header:

@@ -10,12 +10,17 @@ Every age march runs through one kernel.  ``W A`` is symmetric, so each step
 ``M = I + da * A`` is solved as the SPD M-matrix ``S = D M D^-1``,
 ``D = diag(1/sqrt2, 1, ..., 1, 1/sqrt2)``, on the state ``D w``.  The systems
 of one frozen population are factored once, by one LAPACK ``dpttrf``
-(LDL^T): a single system when the death rate has no age axis, else the block
-of all ages with zero coupling between them.  Each age step is then one
-``dpttrs`` solve in place on the factor of its age, for a single trace or a
-block of columns alike, and the transient's cohorts are the right-hand sides
-of one ``dpttrs`` (Golub & Van Loan, Matrix Computations, 4.3; LAPACK Users'
-Guide, 3rd ed.).
+(LDL^T): a single system when the death rate has no age axis or the same row
+at every age, else the block of all ages with zero coupling between them.
+A march under a single system on at most 64 nodes advances each age step by
+one BLAS product with that system's inverse, tabulated by one ``dpttrs`` on
+the identity: cheaper than ``dpttrs``'s serial recurrence per column.  Above
+64 nodes numpy's OpenBLAS threads the products, and its threads slow the
+LAPACK calls between marches, so there, as under an age-dependent death rate,
+each age step is one ``dpttrs`` solve in place on the factor of its age, for
+a single trace or a block of columns alike.  The transient's cohorts are the
+right-hand sides of one ``dpttrs`` (Golub & Van Loan, Matrix Computations,
+4.3; LAPACK Users' Guide, 3rd ed.).
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ DenseOperator = np.ndarray
 # memory cap on the age stack of one return-map march: all columns at once on
 # the shipped grids, a few at a time on fine grids such as 128 x 1600
 _STACK_BYTES = 16 * 2**20
+
+# the widest grid whose marches under one step system step by one product with
+# its inverse; wider grids solve each step.  numpy's OpenBLAS runs a product of
+# at most 64^3 multiply-adds on one thread and threads larger ones, whose
+# spinning workers slow scipy's LAPACK calls between the marches: without this
+# bound a fresh-process logistic `continue` at 128 x 400 (lambda_max_factor
+# 1.075, BLAS threads unpinned, 2-core host) took 1.49 s instead of 1.01 s
+_INVERSE_MAX_NODES = 64
 
 _SQRT2 = np.sqrt(2.0)
 _RSQRT2 = 1.0 / _SQRT2
@@ -160,14 +173,19 @@ def _age_systems(U: np.ndarray, spec: ModelSpec, g: Grid, ages: np.ndarray):
     the Neumann closure doubles.
 
     Returns the factor diagonals and off-diagonals ``(d, e)``, both
-    (rows, n_x), ``e`` with a zero last column.  A ``mu`` without an age axis
-    gives one system for every age, ``rows = 1``; otherwise row ``k`` factors
-    the step at ``ages[k]``, all rows as one block tridiagonal system whose
-    zero coupling between ages leaves each row's factor as if factored alone.
+    (rows, n_x), ``e`` with a zero last column.  A ``mu`` without an age axis,
+    or with the same row at every age, gives one system for every age,
+    ``rows = 1``; otherwise row ``k`` factors the step at ``ages[k]``, all
+    rows as one block tridiagonal system whose zero coupling between ages
+    leaves each row's factor as if factored alone.
     """
     coupling, dif_diag = _diffusion_bands(U, spec, g)
     mu = spec.rate_table("mu", U, ages)
-    diag = (mu[:1] if mu.strides[0] == 0 else mu) + dif_diag
+    # equal rows are one system, as a table without an age axis (the scalar
+    # test first: an age-dependent table pays no pass over its entries)
+    if mu.strides[0] == 0 or mu[-1, 0] == mu[0, 0] and (mu == mu[0]).all():
+        mu = mu[:1]
+    diag = mu + dif_diag
     diag *= g.da
     diag += 1.0
     off = np.zeros(diag.shape)
@@ -178,6 +196,14 @@ def _age_systems(U: np.ndarray, spec: ModelSpec, g: Grid, ages: np.ndarray):
     if info > 0:
         raise ArithmeticError(f"implicit age step is not positive definite (dpttrf info {info})")
     return diag, off
+
+
+def _step_inverse(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The inverse of one symmetrized step system ``S`` from its LDL^T factor
+    row ``(d, e)`` of ``_age_systems``, by one ``dpttrs`` on the identity.
+    Each solve of the nonpositive-coupled factor only adds nonnegative terms,
+    so the inverse is entrywise nonnegative, as the M-matrix's is."""
+    return dpttrs(d, e[:-1], np.eye(d.size, order="F"), overwrite_b=True)[0]
 
 
 def _check_finite(w: np.ndarray) -> np.ndarray:
@@ -199,10 +225,14 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
     positive evolution from age zero applied to ``w0``; supplying both a
     source and a trace gives the general inhomogeneous solve.
 
-    ``w0`` is one trace (n_x,) or m columns (n_x, m), marched together by one
-    multi-RHS solve per age step.  The result has the age axis first, shape
-    (n_a + 1,) + ``w0.shape``, and ``source``, when given as an array, has
-    the shape of the result.
+    ``w0`` is one trace (n_x,) or m columns (n_x, m), marched together.  When
+    every age has the same step system and ``n_x <= _INVERSE_MAX_NODES`` (64;
+    wider products run threaded, see there), the inverse of that system is
+    tabulated once and each age step is one product with it, written into
+    the next row of the result; otherwise each age step is one multi-RHS
+    solve on the factor of its age.  The result has the age axis first,
+    shape (n_a + 1,) + ``w0.shape``, and ``source``, when given as an array,
+    has the shape of the result.
 
     With ``n_x`` columns, ``source`` may instead be the diagonals
     ``(lower, diag, upper)``, of shapes (n_a + 1, n_x - 1), (n_a + 1, n_x)
@@ -210,8 +240,7 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
     ``j`` is the source of column ``j``: entry ``[j + 1, j]`` of the matrix at
     age ``k`` is ``lower[k, j]`` and entry ``[j, j + 1]`` is ``upper[k, j]``.
     The three diagonals are added in place to the column-major march state
-    before each age step, which is then solved in place; no dense source is
-    formed.
+    before each age step; no dense source is formed.
     """
     U = check_spatial(U, g, "total population")
     w0 = check_shape(w0, (g.n_x,) + np.shape(w0)[1:2], "initial trace")
@@ -241,16 +270,24 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
         src = g.da * check_shape(source, out.shape, "source")
         src[:, ::n - 1] *= _RSQRT2
 
-    # the factor of each age: one row repeated, or one row per age
-    d, e = (np.broadcast_to(f, out.shape[:1] + f.shape[1:])
-            for f in _age_systems(U, spec, g, g.a_nodes))
+    d, e = _age_systems(U, spec, g, g.a_nodes)
+    inverse = _step_inverse(d[0], e[0]) if len(d) == 1 and n <= _INVERSE_MAX_NODES else None
+    if inverse is None:
+        d, e = (np.broadcast_to(f, out.shape[:1] + f.shape[1:]) for f in (d, e))
     for k in range(1, g.n_a + 1):
         if banded:
             flat[band_at] += bands[k]
         elif source is not None:
             w += src[k]
-        dpttrs(d[k], e[k, :-1], w, overwrite_b=True)
-        out[k] = w
+        if inverse is None:
+            # the factor of this age: one row repeated, or one row per age
+            dpttrs(d[k], e[k, :-1], w, overwrite_b=True)
+            out[k] = w
+        elif source is None:
+            w = np.dot(inverse, w, out=out[k])
+        else:
+            # the state stays the source's buffer
+            w[...] = np.dot(inverse, w, out=out[k])
     out[:, ::n - 1] *= _SQRT2
     out[0] = w0
     return _check_finite(out)

@@ -59,7 +59,8 @@ def equilibrium_population(lam: float, mu0: float, kappa: float, b0: float,
     Root of lam * b0 * S(mu0 + kappa*U) - 1 in U; returns 0 at or below the
     critical intensity.  Requires kappa > 0 so the branch relation is
     monotone.  The bracket is halved until its midpoint equals an endpoint,
-    that is, until the two ends are neighbouring floats.
+    that is, until the two ends are neighbouring floats.  A root beyond
+    ``U = 1e12`` is not bracketed: an ``ArithmeticError``.
     """
     if kappa <= 0.0:
         raise ValueError("equilibrium_population needs kappa > 0")
@@ -73,7 +74,9 @@ def equilibrium_population(lam: float, mu0: float, kappa: float, b0: float,
     while f(hi) > 0.0:
         hi *= 2.0
         if hi > 1e12:
-            raise RuntimeError("failed to bracket the homogeneous equilibrium")
+            raise ArithmeticError(
+                "failed to bracket the homogeneous equilibrium: lam * b0 * "
+                f"S(mu0 + kappa * U) - 1 keeps its sign on [0, {hi / 2:.6g}]")
     lo = 0.0
     while True:
         mid = 0.5 * (lo + hi)

@@ -541,8 +541,8 @@ def test_verify_names_a_csv_whose_rows_are_not_the_branch(small_run, tmp_path, c
     assert f"expected the indices 0 .. {n_points - 1} in order" in err
 
 
-@pytest.mark.parametrize("value", [8.0, "8", True, None, float("nan")],
-                         ids=["float", "string", "bool", "null", "nan"])
+@pytest.mark.parametrize("value", [8.0, "8", True, None, float("nan"), -1],
+                         ids=["float", "string", "bool", "null", "nan", "negative"])
 def test_verify_names_an_n_points_that_is_not_an_integer(small_run, tmp_path, capsys, value):
     cfg_path, out, _ = small_run
     copy = _copy_run(out, tmp_path / "copy")
@@ -721,6 +721,22 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert abs(payload["critical_intensity_grid"]
                - discrete_critical_intensity(1.0, 1.0, g)) <= 1e-14
     assert len(payload["homogeneous_branch"]) == 5
+
+
+def test_oracle_names_an_unbracketed_equilibrium(tmp_path):
+    # with kappa 1e-300 no population up to 1e12 brings the homogeneous branch
+    # relation to a root: a numerical error, exit 1, without a traceback
+    cfg = {"model": {"family": "logistic_death", "params": {"kappa": 1e-300},
+                     "n_x": 8, "n_a": 20}}
+    cfg_path = write_cfg(tmp_path, cfg)
+    src = str(Path(agebranch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-m", "agebranch.cli", "oracle", "--config",
+                             cfg_path], env=env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "homogeneous branch (lambda, U):" in result.stdout
+    assert result.stderr.startswith("error: failed to bracket the homogeneous equilibrium")
+    assert "Traceback" not in result.stderr
 
 
 def test_shipped_configs_validate():

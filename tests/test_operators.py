@@ -13,9 +13,11 @@ from agebranch.errors import CoefficientBoundError
 from agebranch.model import FAMILY_NAMES, ModelSpec
 from agebranch.operators import (
     _age_systems,
+    _step_inverse,
     advance_cohorts,
     assemble_elliptic,
     birth_functional,
+    dpttrs,
     evolve,
     next_generation_operator,
 )
@@ -261,16 +263,62 @@ def test_operator_entries_nonnegative(rng, logistic_spec, logistic_grid):
 
 # -- batched marches -------------------------------------------------------------
 
-def test_march_cases_agree(rng, logistic_spec, logistic_grid):
-    # single traces and a column block under one U are the same marches
-    g = logistic_grid
+def test_march_cases_agree(rng, model_at):
+    # single traces and a column block under one U are the same marches, by
+    # products with the step inverse (one step system) or by per-age solves
+    spec = model_at(12, 40)
+    g = build_grid(spec)
     U = rng.random(g.n_x)
     W = rng.random((g.n_x, 4))
     source = rng.random((g.n_a + 1, g.n_x, 4))
-    cols = evolve(U, W, logistic_spec, g, source=source)
+    cols = evolve(U, W, spec, g, source=source)
     for j in range(4):
-        single = evolve(U, W[:, j], logistic_spec, g, source=source[:, :, j])
+        single = evolve(U, W[:, j], spec, g, source=source[:, :, j])
         assert np.allclose(cols[:, :, j], single, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n_x, n_a", [(12, 40), (65, 6)])
+def test_marches_solve_once_per_step_system(rng, model_at, monkeypatch, n_x, n_a):
+    # one step system on at most 64 nodes, also when written with an age
+    # axis: one solve, on the identity, then products; a death rate that
+    # depends on age, or a wider grid: one solve per age step
+    import agebranch.operators as operators
+
+    base = model_at(n_x, n_a)
+    g = build_grid(base)
+    n, rows = g.n_x, g.n_a + 1
+    U = rng.random(n)
+    bands = (rng.random((rows, n - 1)), rng.random((rows, n)), rng.random((rows, n - 1)))
+    solve, calls = operators.dpttrs, []
+
+    def counted(d, e, b, **kwargs):
+        calls.append(np.array(b))
+        return solve(d, e, b, **kwargs)
+
+    monkeypatch.setattr(operators, "dpttrs", counted)
+    for spec in (base, _with_age_axis(base)):
+        for w0, source in ((rng.random(n), None), (np.eye(n), None),
+                           (rng.random(n), rng.random((rows, n))), (np.zeros((n, n)), bands)):
+            calls.clear()
+            evolve(U, w0, spec, g, source=source)
+            if base.family is not None and n <= 64:
+                assert len(calls) == 1 and np.array_equal(calls[0], np.eye(n))
+            else:
+                assert len(calls) == g.n_a
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_step_inverse_is_nonnegative_and_solves(rng, family):
+    # the tabulated inverse of the one step system: nonnegative, and its
+    # product is the solve by the same factor
+    spec = make_spec(family, n_x=32, n_a=100)
+    g = build_grid(spec)
+    d, e = _age_systems(rng.random(g.n_x), spec, g, g.a_nodes)
+    inverse = _step_inverse(d[0], e[0])
+    assert inverse.shape == (g.n_x, g.n_x) and inverse.min() >= 0.0
+    for x in (rng.random(g.n_x), rng.standard_normal(g.n_x)):
+        solved = dpttrs(d[0], e[0, :-1], x)[0]
+        assert np.abs(inverse @ x - solved).max() <= 1e-14 * np.abs(solved).max()
 
 
 def test_banded_source_matches_its_dense_matrix(rng, logistic_spec, logistic_grid):

@@ -74,7 +74,7 @@ def test_roots_agree_with_brentq(kappa):
 def test_unbracketed_equilibrium_raises(grid):
     # S(m) >= da / 2 for every m, so lam * b0 * da / 2 > 1 keeps f positive
     lam = 4.0 / grid.da
-    with pytest.raises(RuntimeError, match="failed to bracket"):
+    with pytest.raises(ArithmeticError, match="failed to bracket"):
         equilibrium_population(lam, 1.0, 1.0, 1.0, grid)
 
 
