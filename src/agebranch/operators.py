@@ -17,10 +17,11 @@ one BLAS product with that system's inverse, tabulated by one ``dpttrs`` on
 the identity: cheaper than ``dpttrs``'s serial recurrence per column.  Above
 64 nodes numpy's OpenBLAS threads the products, and its threads slow the
 LAPACK calls between marches, so there, as under an age-dependent death rate,
-each age step is one ``dpttrs`` solve in place on the factor of its age, for
-a single trace or a block of columns alike.  The transient's cohorts are the
-right-hand sides of one ``dpttrs`` (Golub & Van Loan, Matrix Computations,
-4.3; LAPACK Users' Guide, 3rd ed.).
+each age step is one ``dpttrs`` solve in place on the factor of its age.  The
+return map's age sum of the identity march takes the inverse's powers by
+binary doubling when the birth rate is age-free too.  The transient's cohorts
+are the right-hand sides of one ``dpttrs`` (Golub & Van Loan, Matrix
+Computations, 4.3; LAPACK Users' Guide, 3rd ed.).
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ DenseOperator = np.ndarray
 # the shipped grids, a few at a time on fine grids such as 128 x 1600
 _STACK_BYTES = 16 * 2**20
 
-# the widest grid whose marches under one step system step by one product with
-# its inverse; wider grids solve each step.  numpy's OpenBLAS runs a product of
-# at most 64^3 multiply-adds on one thread and threads larger ones, whose
-# spinning workers slow scipy's LAPACK calls between the marches: without this
-# bound a fresh-process logistic `continue` at 128 x 400 (lambda_max_factor
+# the widest grid whose marches and age sums under one step system take products
+# with its inverse; wider grids solve each step.  numpy's OpenBLAS runs a
+# product of at most 64^3 multiply-adds on one thread and threads larger ones,
+# whose spinning workers slow scipy's LAPACK calls between the marches: without
+# this bound a logistic `continue` process at 128 x 400 (lambda_max_factor
 # 1.075, BLAS threads unpinned, 2-core host) took 1.49 s instead of 1.01 s
 _INVERSE_MAX_NODES = 64
 
@@ -180,12 +181,7 @@ def _age_systems(U: np.ndarray, spec: ModelSpec, g: Grid, ages: np.ndarray):
     leaves each row's factor as if factored alone.
     """
     coupling, dif_diag = _diffusion_bands(U, spec, g)
-    mu = spec.rate_table("mu", U, ages)
-    # equal rows are one system, as a table without an age axis (the scalar
-    # test first: an age-dependent table pays no pass over its entries)
-    if mu.strides[0] == 0 or mu[-1, 0] == mu[0, 0] and (mu == mu[0]).all():
-        mu = mu[:1]
-    diag = mu + dif_diag
+    diag = _one_row(spec.rate_table("mu", U, ages)) + dif_diag
     diag *= g.da
     diag += 1.0
     off = np.zeros(diag.shape)
@@ -194,8 +190,19 @@ def _age_systems(U: np.ndarray, spec: ModelSpec, g: Grid, ages: np.ndarray):
     # factored in place: the tables become the factors
     info = dpttrf(diag.reshape(-1), off.reshape(-1)[:-1], overwrite_d=True, overwrite_e=True)[-1]
     if info > 0:
-        raise ArithmeticError(f"implicit age step is not positive definite (dpttrf info {info})")
+        number = g.da * -coupling.min()  # the largest da * d / dx^2
+        raise ArithmeticError(
+            f"implicit age step is not positive definite (dpttrf info {info}); largest diffusion "
+            f"number da*d/dx^2 {number:.3e}" + ("" if number < 1.0 / np.finfo(float).eps else
+            ", at or above 1/eps: the step rounds to the singular Neumann Laplacian"))
     return diag, off
+
+
+def _one_row(table: np.ndarray) -> np.ndarray:
+    """``table[:1]`` when every age has the same row, else ``table``; the
+    scalar test first, so an age-dependent table pays no pass over it."""
+    same = table.strides[0] == 0 or table[-1, 0] == table[0, 0] and (table == table[0]).all()
+    return table[:1] if same else table
 
 
 def _step_inverse(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -216,7 +223,7 @@ def _check_finite(w: np.ndarray) -> np.ndarray:
 
 
 def evolve(U, w0, spec: ModelSpec, g: Grid,
-           source: np.ndarray | tuple | None = None) -> np.ndarray:
+           source: np.ndarray | tuple | None = None, factors: tuple | None = None) -> np.ndarray:
     """March the linear age problem from trace ``w0`` by implicit Euler.
 
     Solves ``d_age w + A(U, age) w = source`` with ``w(0) = w0``, where the
@@ -240,7 +247,8 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
     ``j`` is the source of column ``j``: entry ``[j + 1, j]`` of the matrix at
     age ``k`` is ``lower[k, j]`` and entry ``[j, j + 1]`` is ``upper[k, j]``.
     The three diagonals are added in place to the column-major march state
-    before each age step; no dense source is formed.
+    before each age step; no dense source is formed.  ``factors`` are the
+    ``(d, e)`` of :func:`_age_systems` at ``g.a_nodes`` if the caller has them.
     """
     U = check_spatial(U, g, "total population")
     w0 = check_shape(w0, (g.n_x,) + np.shape(w0)[1:2], "initial trace")
@@ -270,7 +278,7 @@ def evolve(U, w0, spec: ModelSpec, g: Grid,
         src = g.da * check_shape(source, out.shape, "source")
         src[:, ::n - 1] *= _RSQRT2
 
-    d, e = _age_systems(U, spec, g, g.a_nodes)
+    d, e = _age_systems(U, spec, g, g.a_nodes) if factors is None else factors
     inverse = _step_inverse(d[0], e[0]) if len(d) == 1 and n <= _INVERSE_MAX_NODES else None
     if inverse is None:
         d, e = (np.broadcast_to(f, out.shape[:1] + f.shape[1:]) for f in (d, e))
@@ -330,21 +338,54 @@ def birth_functional(V: SpatialField, u: AgeSpaceField, lam: float,
     return lam * np.einsum("k,kn,kn->n", g.w_a, spec.rate_table("b", V, g.a_nodes), u)
 
 
+def identity_age_sums(U: SpatialField, b: np.ndarray, factors: tuple, spec: ModelSpec,
+                      g: Grid, plain: bool = False) -> tuple[DenseOperator, DenseOperator | None]:
+    """Trapezoid sums over ages of the identity march ``E_k`` (row ``k`` of
+    ``evolve(U, I)`` on the ``factors`` of :func:`_age_systems` under ``U``):
+    ``sum_k w_k diag(b[k]) E_k`` for the ``b`` table at ``U`` and, with
+    ``plain``, ``K = sum_k w_k E_k``.  Under one step system on at most
+    ``_INVERSE_MAX_NODES`` nodes and a ``b`` of one row, ``E_k = D^-1 P^k D``
+    (``P`` the step inverse) and ``K = D^-1 (da T + da/2 (P^n_a - I)) D``
+    with ``T = sum_{k < n_a} P^k``; ``T_2m = (I + P^m) T_m`` and ``T_m+1 =
+    T_m + P^m`` over the bits of ``n_a`` (Knuth, TAOCP 2, 4.6.3) take
+    ``~2 log2 n_a`` products, not ``n_a``, summing the march's nonnegative
+    terms in another order.  Else the identity is marched, whole with
+    ``plain`` (the Jacobian's ``du/dU`` march holds such a stack anyway), or
+    in as many columns at a time as keep one within ``_STACK_BYTES``."""
+    (d, e), n = factors, g.n_x
+    if len(d) == 1 and n <= _INVERSE_MAX_NODES and len(row := _one_row(b)) == 1:
+        step = _step_inverse(d[0], e[0])
+        power, total = step, np.eye(n)  # P^m and T_m at m = 1
+        for bit in bin(g.n_a)[3:]:
+            total += power @ total
+            power = power @ power
+            if bit == "1":
+                total += power
+                power = power @ step
+        K = g.da * total + 0.5 * g.da * (power - np.eye(n))
+        K = _check_finite(K * (_d_scale(n) / _d_scale(n)[:, None]))
+        return row[0][:, None] * K, K
+    wb, eye = g.w_a[:, None] * b, np.eye(n)
+    width = n if plain else max(1, _STACK_BYTES // ((g.n_a + 1) * n * eye.itemsize))
+    weighted, K = np.empty((n, n)), np.empty((n, n)) if plain else None
+    for cols in (np.s_[j:j + width] for j in range(0, n, width)):
+        marched = evolve(U, eye[:, cols], spec, g, factors=factors)
+        np.einsum("kn,knj->nj", wb, marched, out=weighted[:, cols])
+        if plain:
+            np.einsum("k,knj->nj", g.w_a, marched, out=K[:, cols])
+        del marched  # so that the next march reuses its memory
+    return weighted, K
+
+
 def next_generation_operator(u: AgeSpaceField, spec: ModelSpec, g: Grid) -> DenseOperator:
     """Dense birth-return map on traces, frozen at the field ``u``.
 
     Column ``j`` equals ``birth_functional(U, evolve(U, e_j), 1)`` with
     ``U = total_population(u)``: newborns placed at node ``j`` are evolved
-    through all ages and weighted by the birth rate.  The assembly runs the
-    columns through multi-RHS marches, as many columns at a time as keep one
-    march's age stack within ``_STACK_BYTES``.
+    through all ages and weighted by the birth rate: the weighted age sum of
+    :func:`identity_age_sums`, ``diag(b) K`` when ``b`` is age-free.
     """
     u = check_age_space(u, g, "frozen field")
     U = total_population(u, g)
-    wb = g.w_a[:, None] * spec.rate_table("b", U, g.a_nodes)
-    eye = np.eye(g.n_x)
-    width = max(1, _STACK_BYTES // ((g.n_a + 1) * g.n_x * eye.itemsize))
-    return np.hstack([
-        np.einsum("kn,knj->nj", wb, evolve(U, eye[:, j:j + width], spec, g))
-        for j in range(0, g.n_x, width)
-    ])
+    b = spec.rate_table("b", U, g.a_nodes)
+    return identity_age_sums(U, b, _age_systems(U, spec, g, g.a_nodes), spec, g)[0]

@@ -31,10 +31,12 @@ from .model import (
     weighted_inner,
 )
 from .operators import (
+    _age_systems,
     _load_flapack,
     assemble_elliptic,
     birth_functional,
     evolve,
+    identity_age_sums,
     next_generation_operator,
 )
 from .spectral import bifurcation_point, check_simplicity, perron_eigenpair
@@ -109,18 +111,20 @@ def jacobian(lam: float, U: SpatialField, u: AgeSpaceField,
     """Derivative of ``(R_v, R_U)`` in ``(v, U, lam)`` at ``u = E(U) v``,
     shape (2 n_x, 2 n_x + 1), where ``R_v = v - lam * B(U, u)`` and
     ``R_U = U - int u da``.  ``B`` depends on ``U`` through ``u`` and through
-    ``b_z``.  Two marches under ``U``: ``du/dv`` from the identity and
-    ``du/dU`` from zero with the banded :func:`_tangent_source`."""
+    ``b_z``.  One factorization under ``U``: ``du/dv`` gives the age sums of
+    :func:`identity_age_sums`, and ``du/dU`` is one march from zero with the
+    banded :func:`_tangent_source`."""
     n = g.n_x
-    wb = g.w_a[:, None] * spec.rate_table("b", U, g.a_nodes)
+    b = spec.rate_table("b", U, g.a_nodes)
+    factors = _age_systems(U, spec, g, g.a_nodes)
     J = np.zeros((2 * n, 2 * n + 1))
-    # one march at a time, so that a single (n_a + 1, n_x, n_x) stack is alive
-    for cols, w0, source in ((np.s_[:n], np.eye(n), None),
-                             (np.s_[n:2 * n], np.zeros((n, n)), _tangent_source(U, u, spec, g))):
-        du = evolve(U, w0, spec, g, source=source)
-        J[:n, cols] = np.einsum("kn,knj->nj", wb, du)
-        J[n:, cols] = -np.einsum("k,kij->ij", g.w_a, du)
-        del du
+    J[:n, :n], K = identity_age_sums(U, b, factors, spec, g, plain=True)
+    J[n:, :n] = -K
+    wb = g.w_a[:, None] * b
+    du = evolve(U, np.zeros((n, n)), spec, g, source=_tangent_source(U, u, spec, g),
+                factors=factors)
+    J[:n, n:2 * n] = np.einsum("kn,knj->nj", wb, du)
+    J[n:, n:2 * n] = -np.einsum("k,kij->ij", g.w_a, du)
     bz_rows = spec.rate_table("b_z", U, g.a_nodes)
     J[:n, n:2 * n][np.diag_indices(n)] += np.einsum("k,kn,kn->n", g.w_a, bz_rows, u)
     J[:n, :2 * n] *= -lam

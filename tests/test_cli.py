@@ -739,6 +739,28 @@ def test_oracle_names_an_unbracketed_equilibrium(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("model", [
+    {"family": "logistic_death", "params": {"d0": 1e300}, "n_x": 8, "n_a": 20},
+    {"family": "logistic_death", "x_min": 0.0, "x_max": 1e-9, "n_x": 8, "n_a": 20},
+], ids=["d0 1e300", "domain 1e-9 wide"])
+def test_an_indefinite_age_step_names_its_diffusion_number(tmp_path, model):
+    # da * d / dx^2 at or above 1/eps: 1 + da * A rounds to da times the
+    # singular Neumann Laplacian, a numerical error, exit 1, no traceback
+    cfg_path = write_cfg(tmp_path, {"model": model})
+    src = str(Path(agebranch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-m", "agebranch.cli", "continue", "--config",
+                             cfg_path, "--out", str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.startswith(
+        "error: implicit age step is not positive definite (dpttrf info 8); "
+        "largest diffusion number da*d/dx^2 ")
+    assert result.stderr.rstrip().endswith(
+        ", at or above 1/eps: the step rounds to the singular Neumann Laplacian")
+    assert "Traceback" not in result.stderr
+
+
 def test_shipped_configs_validate():
     for name in ("constant.json", "logistic_death.json", "density_diffusion.json"):
         cfg = load_config(Path(__file__).parents[1] / "configs" / name)

@@ -19,6 +19,7 @@ from agebranch.operators import (
     birth_functional,
     dpttrs,
     evolve,
+    identity_age_sums,
     next_generation_operator,
 )
 from agebranch.oracles import survival_sum
@@ -259,6 +260,109 @@ def test_operator_entries_nonnegative(rng, logistic_spec, logistic_grid):
     u = rng.random((g.n_a + 1, g.n_x))
     Q = next_generation_operator(u, logistic_spec, g)
     assert Q.min() >= 0.0
+
+
+# -- age sums of the identity march -----------------------------------------------
+
+def _mixed_models(n_x, n_a):
+    """The rate combinations that take the marched age sum: age-free ``b``
+    with an age-dependent ``mu``, an age-dependent ``b`` with an age-free
+    ``mu``, and an age-free model wider than the product bound."""
+    base = make_spec("logistic_death", n_x=n_x, n_a=n_a)
+    return {
+        "age-free b, aged mu": replace(base, family=None,
+                                       mu=lambda z, a: (1.0 + a) * (1.0 + z),
+                                       mu_z=lambda z, a: (1.0 + a) + 0.0 * z),
+        "aged b, age-free mu": replace(base, family=None,
+                                       b=lambda z, a: np.exp(-a) / (1.0 + z),
+                                       b_z=lambda z, a: -np.exp(-a) / (1.0 + z) ** 2),
+        "65 nodes": make_spec("logistic_death", n_x=65, n_a=n_a),
+    }
+
+
+def _march_sums(U, spec, g):
+    """The oracle: the identity marched through every age, contracted with
+    the trapezoid weights, with and without the birth rate."""
+    marched = evolve(U, np.eye(g.n_x), spec, g)
+    wb = g.w_a[:, None] * spec.rate_table("b", U, g.a_nodes)
+    return np.einsum("kn,knj->nj", wb, marched), np.einsum("k,knj->nj", g.w_a, marched)
+
+
+def _check_age_sums(spec, rng):
+    g = build_grid(spec)
+    u = 0.5 * rng.random((g.n_a + 1, g.n_x))
+    U = total_population(u, g)
+    weighted, K = identity_age_sums(U, spec.rate_table("b", U, g.a_nodes),
+                                    _age_systems(U, spec, g, g.a_nodes), spec, g, plain=True)
+    for got, want in zip((weighted, K), _march_sums(U, spec, g)):
+        assert want.min() > 0.0 and got.min() > 0.0
+        assert np.abs(got / want - 1.0).max() <= 1e-13
+    assert np.array_equal(next_generation_operator(u, spec, g), weighted)
+    J, n = jacobian(1.7, U, u, spec, g), g.n_x
+    expected = -1.7 * weighted
+    expected[np.diag_indices(n)] += 1.0
+    assert np.array_equal(J[:n, :n], expected) and np.array_equal(J[n:, :n], -K)
+
+
+@pytest.mark.parametrize("n_a", [2, 3, 64, 100, 101])
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_age_sum_by_powers_matches_the_march(rng, family, n_a):
+    # every bit pattern of n_a: the doubling sums the march's own terms
+    _check_age_sums(make_spec(family, n_x=32, n_a=n_a), rng)
+
+
+@pytest.mark.parametrize("name", ["age-free b, aged mu", "aged b, age-free mu", "65 nodes"])
+def test_marched_age_sum_matches_the_march(rng, name):
+    _check_age_sums(_mixed_models(12, 40)[name], rng)
+
+
+@pytest.mark.parametrize("name", ["age-free b, aged mu", "aged b, age-free mu"])
+def test_marched_age_sum_in_column_chunks(rng, monkeypatch, name):
+    # a fine grid marches the identity a few columns at a time; the map must
+    # not change (an age-free model sums by powers and marches no columns)
+    import agebranch.operators as operators
+
+    spec = _mixed_models(12, 40)[name]
+    g = build_grid(spec)
+    u = 0.5 * rng.random((g.n_a + 1, g.n_x))
+    whole = next_generation_operator(u, spec, g)
+    monkeypatch.setattr(operators, "_STACK_BYTES", 5 * (g.n_a + 1) * g.n_x * 8)
+    assert np.allclose(next_generation_operator(u, spec, g), whole, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", [None, "age-free b, aged mu", "aged b, age-free mu",
+                                  "65 nodes"])
+def test_age_sums_march_only_without_one_system_and_one_birth_row(rng, monkeypatch, name):
+    # age-free rates on at most 64 nodes: no march for the return map, one
+    # for the Jacobian's du/dU; every other model marches the identity too.
+    # Either way each population is factored once
+    import agebranch.operators as operators
+    import agebranch.solver as solver
+
+    spec = make_spec("density_diffusion", n_x=12, n_a=40) if name is None else \
+        _mixed_models(12, 40)[name]
+    g = build_grid(spec)
+    u = 0.5 * rng.random((g.n_a + 1, g.n_x))
+    calls = []
+
+    def counted(module, fname):
+        fun = getattr(module, fname)
+
+        def wrapped(*args, **kwargs):
+            calls.append(fname)
+            return fun(*args, **kwargs)
+
+        monkeypatch.setattr(module, fname, wrapped)
+
+    for module in (operators, solver):
+        counted(module, "evolve")
+        counted(module, "_age_systems")
+    marches = 0 if name is None else 1
+    next_generation_operator(u, spec, g)
+    assert calls == ["_age_systems"] + ["evolve"] * marches
+    calls.clear()
+    jacobian(1.7, total_population(u, g), u, spec, g)
+    assert calls == ["_age_systems"] + ["evolve"] * (marches + 1)
 
 
 # -- batched marches -------------------------------------------------------------

@@ -751,6 +751,15 @@ def test_box_excluding_the_branch_gives_empty_run(logistic):
     assert branch.points == []
 
 
+def test_a_first_step_against_phi0_leaves_the_positive_cone():
+    # a negative t0 follows the crossing's negative half: its first point has
+    # negative entries, and the run stops there without keeping it
+    spec = make_spec("logistic_death", n_x=12, n_a=40, t0=-1e-2)
+    branch = continue_branch(spec, build_grid(spec))
+    assert branch.termination == "left_positive_cone"
+    assert branch.points == []
+
+
 # -- invariant report ------------------------------------------------------------
 
 def test_invariant_report_on_trivial_point(logistic):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from agebranch import build_grid, make_spec
-from agebranch.errors import NoPositiveEigenvalueError
+from agebranch.errors import NoPositiveEigenvalueError, PositivityError
+from agebranch.model import ModelSpec
 from agebranch.oracles import closed_form_critical_intensity, survival_sum
 from agebranch.spectral import bifurcation_point, check_simplicity, perron_eigenpair
 
@@ -102,6 +103,17 @@ def test_birth_scaling_rescales_critical_intensity():
     lam_base = bifurcation_point(base, g).lambda0
     lam_scaled = bifurcation_point(scaled, g).lambda0
     assert abs(lam_scaled - lam_base / 2.0) <= 1e-13 * lam_base
+
+
+def test_birth_rate_vanishing_on_half_the_domain_is_not_strongly_positive():
+    # the rows of the return map at x > 0.5 vanish, so its Perron vector has
+    # zero entries there: no branch of positive solutions starts
+    x = np.linspace(0.0, 1.0, 12)
+    spec = ModelSpec(d=lambda z: np.ones_like(z), mu=lambda z, a: 1.0 + z,
+                     b=lambda z, a: np.where(x <= 0.5, 1.0, 0.0) + 0.0 * z,
+                     d_lower=0.5, n_x=12, n_a=40)
+    with pytest.raises(PositivityError, match="non-positive entry"):
+        bifurcation_point(spec, build_grid(spec))
 
 
 def test_vanishing_birth_rate_is_rejected():

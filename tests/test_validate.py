@@ -207,6 +207,16 @@ def test_kernel_counts_agree_at_random_points(logistic_small, rng):
         assert report.agree
 
 
+def test_kernel_counts_disagree_at_a_regular_branch_point():
+    # on the branch lam Q(u) v = v, so I - lam Q keeps the eigenvector v as a
+    # kernel while the corrector's (v, U) Jacobian is regular
+    spec = make_spec("logistic_death", n_x=12, n_a=40, max_points=4)
+    g = build_grid(spec)
+    pt = continue_branch(spec, g).points[3]
+    report = kernel_dimension(pt.lam, pt.v, total_population(pt.u, g), spec, g)
+    assert (report.dim, report.dim_eigen, report.agree) == (0, 1, False)
+
+
 # -- transversality ----------------------------------------------------------------
 
 def test_transversality_for_symmetric_model(constant_spec, constant_grid):
