@@ -39,7 +39,7 @@ from .oracles import (
     discrete_critical_intensity,
     equilibrium_population,
 )
-from .solver import Branch, PointDiagnostics, continue_branch
+from .solver import Branch, continue_branch
 from .spectral import bifurcation_point, check_simplicity
 from .validate import fmt17, simulate_transient, verify_branch
 
@@ -60,10 +60,8 @@ DRIFT_CSV_COLUMNS = ("step", "t", "drift", "min_u")
 _SNAPSHOT_KEYS = ("v", "u", "lambda", "arclength", "diagnostics.newton_iters")
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-# solver knobs of earlier versions: configs that set them still load
+# a solver knob of earlier versions: configs that set it still load
 _IGNORED = "accepted and ignored: the corrector is one Newton method on (lambda, v, U)"
-_IGNORED_EIGEN = ("accepted and ignored: the Perron pair comes from one dense "
-                  "LAPACK eigensolve, which takes no tolerance")
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -85,9 +83,6 @@ CONFIG_SCHEMA = {
                 "a_max": _POSITIVE,
                 "n_x": {"type": "integer", "minimum": 3},
                 "n_a": {"type": "integer", "minimum": 2},
-                "inner_tol": {**_POSITIVE, "description": _IGNORED},
-                "eigen_tol": {**_POSITIVE, "description": _IGNORED_EIGEN},
-                "fd_eps": {**_POSITIVE, "description": _IGNORED},
             },
         },
         "continuation": {
@@ -200,61 +195,61 @@ def spec_from_config(cfg: dict, resolution_scale: int = 1) -> ModelSpec:
 
 # -- export -------------------------------------------------------------------
 
-def _diagnostics_dict(d: PointDiagnostics) -> dict:
-    return {
-        "residual_norm": d.residual_norm,
-        "min_u": d.min_u,
-        "u_norm": d.u_norm,
-        "r_Q_u": d.next_gen_radius,
-        "newton_iters": d.newton_iters,
-        "inner_iters": 0,  # the corrector has no inner iteration; key kept for readers
-    }
+def branch_records(branch: Branch, cfg: dict, seed: int,
+                   resolution_scale: int = 1) -> tuple[dict, list[dict], list[dict]]:
+    """The ``(meta, rows, snapshots)`` of a branch, equal to what
+    :func:`read_branch_outputs` returns once :func:`write_branch_outputs` has
+    written them, so ``verify_branch(*branch_records(...), spec, g)`` checks a
+    branch without its files."""
+    meta = {"lambda0": branch.lambda0, "termination": branch.termination,
+            "n_points": len(branch.points), "phi0": branch.phi0.tolist(),
+            "psi0": branch.psi0.tolist(), "seed": seed,
+            "resolution_scale": resolution_scale, "config": cfg}
+    rows, snapshots = [], []
+    for i, pt in enumerate(branch.points):
+        d = pt.diagnostics
+        measures = {"u_norm": d.u_norm, "min_u": d.min_u, "r_Q_u": d.next_gen_radius,
+                    "residual_norm": d.residual_norm}
+        rows.append({"index": i, "arclength": pt.arclength, "lambda": pt.lam, **measures})
+        # the corrector has no inner iteration; inner_iters is kept for readers
+        snapshots.append({"index": i, "lambda": pt.lam, "arclength": pt.arclength,
+                          "v": pt.v.tolist(), "u": pt.u.tolist(),
+                          "diagnostics": {**measures, "newton_iters": d.newton_iters,
+                                          "inner_iters": 0}})
+    return meta, rows, snapshots
+
+
+def _write_json(path: Path, payload, indent: int | None = 1) -> None:
+    """``payload`` as JSON with sorted keys; the directory is created."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=indent))
+
+
+def _write_csv(path: Path, columns, rows) -> None:
+    """A header of ``columns``, then one line per row (a dict by column): ints
+    as they are, every other value with :func:`fmt17`."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    def line(values):
+        return ",".join(str(x) if isinstance(x, int) else fmt17(x) for x in values)
+    lines = [",".join(columns)] + [line(row[c] for c in columns) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_branch_outputs(branch: Branch, out_dir, cfg: dict, seed: int,
-                         resolution_scale: int = 1) -> Path:
+                         resolution_scale: int = 1) -> None:
+    """Write the records of ``branch``: ``branch.csv``, ``branch_meta.json``
+    and ``snapshots/point_*.json``, deleting snapshots of an earlier run."""
+    meta, rows, snapshots = branch_records(branch, cfg, seed, resolution_scale)
     out = Path(out_dir)
+    _write_csv(out / "branch.csv", BRANCH_CSV_COLUMNS, rows)
     snap_dir = out / "snapshots"
-    snap_dir.mkdir(parents=True, exist_ok=True)
-
-    lines = [",".join(BRANCH_CSV_COLUMNS)]
-    for i, pt in enumerate(branch.points):
-        d = pt.diagnostics
-        lines.append(",".join([
-            str(i), fmt17(pt.arclength), fmt17(pt.lam), fmt17(d.u_norm),
-            fmt17(d.min_u), fmt17(d.next_gen_radius), fmt17(d.residual_norm),
-        ]))
-    csv_path = out / "branch.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-
+    snap_dir.mkdir(exist_ok=True)
     # snapshots of an earlier run in this directory are not of this branch
     for stale in snap_dir.glob("point_*.json"):
         stale.unlink()
-    for i, pt in enumerate(branch.points):
-        snapshot = {
-            "index": i,
-            "lambda": pt.lam,
-            "arclength": pt.arclength,
-            "v": pt.v.tolist(),
-            "u": pt.u.tolist(),
-            "diagnostics": _diagnostics_dict(pt.diagnostics),
-        }
-        (snap_dir / f"point_{i:05d}.json").write_text(
-            json.dumps(snapshot, sort_keys=True)
-        )
-
-    meta = {
-        "lambda0": branch.lambda0,
-        "termination": branch.termination,
-        "n_points": len(branch.points),
-        "phi0": branch.phi0.tolist(),
-        "psi0": branch.psi0.tolist(),
-        "seed": seed,
-        "resolution_scale": resolution_scale,
-        "config": cfg,
-    }
-    (out / "branch_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
-    return csv_path
+    for snapshot in snapshots:
+        _write_json(snap_dir / f"point_{snapshot['index']:05d}.json", snapshot, indent=None)
+    _write_json(out / "branch_meta.json", meta)
 
 
 def _require_keys(payload, keys, path: Path, what: str) -> None:
@@ -336,9 +331,7 @@ def _cmd_bifpoint(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
           f"{'pass' if cert.passed else 'FAIL'}")
 
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        payload = {
+        _write_json(Path(args.out) / "eigenpair.json", {
             "lambda0": bif.lambda0,
             "radius": bif.perron.radius,
             "gap": bif.perron.gap,
@@ -350,8 +343,7 @@ def _cmd_bifpoint(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
             "fd_coefficient_derivatives": spec.derivatives_from_fd,
             "resolution_scale": args.resolution_scale,
             "config": cfg,
-        }
-        (out / "eigenpair.json").write_text(json.dumps(payload, sort_keys=True, indent=1))
+        })
     return 0
 
 
@@ -366,8 +358,7 @@ _TERMINATION_EXIT = {
 
 def _cmd_continue(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     branch = continue_branch(spec, g)
-    out = Path(args.out)
-    write_branch_outputs(branch, out, cfg, args.seed, args.resolution_scale)
+    write_branch_outputs(branch, args.out, cfg, args.seed, args.resolution_scale)
     print(f"branch: {len(branch.points)} points, termination {branch.termination}")
     print(f"lambda0 = {fmt17(branch.lambda0)}")
     if branch.points:
@@ -433,14 +424,10 @@ def _cmd_simulate(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     start_norm = field_norm(u0, g)
     state = simulate_transient(u0, lam, args.steps, spec, g)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(DRIFT_CSV_COLUMNS)]
-    for step, (drift, min_u) in enumerate(zip(state.drift_history, state.min_history)):
-        lines.append(",".join([
-            str(step), fmt17((step + 1) * g.da), fmt17(drift), fmt17(min_u),
-        ]))
-    (out / "drift.csv").write_text("\n".join(lines) + "\n")
+    history = enumerate(zip(state.drift_history, state.min_history))
+    _write_csv(Path(args.out) / "drift.csv", DRIFT_CSV_COLUMNS,
+               [dict(zip(DRIFT_CSV_COLUMNS, (step, (step + 1) * g.da, drift, low)))
+                for step, (drift, low) in history])
 
     total = field_norm(state.field - u0, g) / max(start_norm, 1e-300)
     print(f"simulate: {args.steps} steps, cumulative drift {fmt17(total)}, "
@@ -476,9 +463,7 @@ def _cmd_oracle(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
         payload["homogeneous_branch"] = table
 
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "oracle.json").write_text(json.dumps(payload, sort_keys=True, indent=1))
+        _write_json(Path(args.out) / "oracle.json", payload)
     return 0
 
 

@@ -123,7 +123,9 @@ def verify_branch(meta: dict, rows: list[dict], snapshots: list[dict], spec: Mod
                   g: Grid) -> list[tuple[str, bool, str]]:
     """Every check of an exported branch, in order, as ``(name, passed, detail)``.
 
-    The inputs are what ``cli.read_branch_outputs`` returns.  Per point: the
+    The inputs are the records of a branch: ``cli.branch_records`` of a
+    ``Branch`` in memory, or ``cli.read_branch_outputs`` of the files that
+    ``cli.write_branch_outputs`` wrote, which give the same triple.  Per point: the
     CSV row round-trips against the snapshot (to 1e-12 relative; a failure
     names each column that differs, with both values), then the
     four checks of :func:`branch_invariant_check`; then the kernel dimension

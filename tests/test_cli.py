@@ -23,6 +23,7 @@ from agebranch.cli import (
 )
 from agebranch.errors import ConfigError
 from agebranch.oracles import closed_form_critical_intensity, discrete_critical_intensity
+from agebranch.validate import fmt17, simulate_transient
 
 SMALL_LOGISTIC = {
     "model": {
@@ -127,8 +128,8 @@ _ANY = ("x", True, False, None, [], [1.0], {}, {"a": 1}, 0, 1, -1, 3, 0.5, -2.5,
 
 def _config_corpus():
     """(config, extra) pairs: every shipped config and the small test configs,
-    and mutations of each shipped config by type, enum value, bound, missing
-    and additional key.  ``extra`` marks the two cases the checker rejects
+    and mutations of each of them by type, enum value, bound, missing and
+    additional key.  ``extra`` marks the two cases the checker rejects
     beyond JSON Schema: a non-finite number, an integral float for an integer."""
     shipped = [json.loads(p.read_text())
                for p in sorted((Path(__file__).parents[1] / "configs").glob("*.json"))]
@@ -140,7 +141,7 @@ def _config_corpus():
             not math.isfinite(value)
             or (schemas.get(path, {}).get("type") == "integer" and value.is_integer()))
 
-    for base in shipped:
+    for base in (*shipped, SMALL_LOGISTIC, SMALL_CONSTANT):
         for path in sorted(set(schemas) | set(_config_paths(base))):
             sub = schemas.get(path, {})
             values = [*_ANY, *sub.get("enum", ()), "bogus"]
@@ -289,11 +290,13 @@ def test_verify_fails_on_tampered_csv(small_run, tmp_path):
     assert run_command(["verify", "--config", cfg_path, "--out", str(spoiled)]) == 1
 
 
-# the fixed gates, and lambda_max: lambda_max_factor is the only box on lambda
+# the fixed gates; lambda_max, since lambda_max_factor is the only box on lambda;
+# and the retired knobs of the nested corrector and the iterative eigensolve
 FIXED_GATE_KEYS = [("model", "newton_tol"), ("model", "simplicity_tol"), ("model", "gap_tol"),
                    ("model", "rank_tol"), ("model", "radius_identity_tol"),
                    ("continuation", "ds_min"), ("continuation", "pos_tol"),
-                   ("continuation", "lambda_max")]
+                   ("continuation", "lambda_max"), ("model", "inner_tol"),
+                   ("model", "eigen_tol"), ("model", "fd_eps")]
 
 
 @pytest.mark.parametrize("section,key", FIXED_GATE_KEYS, ids=[k for _, k in FIXED_GATE_KEYS])
@@ -436,8 +439,18 @@ def test_simulate_from_snapshot(small_run, tmp_path):
     lines = (sim_out / "drift.csv").read_text().splitlines()
     assert lines[0] == "step,t,drift,min_u"
     assert len(lines) == 31
-    drifts = [float(line.split(",")[2]) for line in lines[1:]]
+    fields = [line.split(",") for line in lines[1:]]
+    drifts = [float(f[2]) for f in fields]
     assert max(drifts) <= 1e-6  # snapshots are equilibria
+    # steps as integers, times and histories with 17 digits that read back exactly
+    spec = spec_from_config(SMALL_LOGISTIC)
+    g = build_grid(spec)
+    payload = json.loads(snap.read_text())
+    state = simulate_transient(payload["u"], payload["lambda"], 30, spec, g)
+    assert [f[0] for f in fields] == [str(step) for step in range(30)]
+    assert [f[1] for f in fields] == [fmt17((step + 1) * g.da) for step in range(30)]
+    assert drifts == state.drift_history
+    assert [float(f[3]) for f in fields] == state.min_history
 
 
 def test_simulate_from_raw_field(tmp_path):
@@ -769,20 +782,15 @@ def test_shipped_configs_validate():
 
 
 def test_retired_solver_keys_load_and_change_nothing(tmp_path):
+    # continuation.jac_mode is the one retired key still accepted
     shipped = load_config(Path(__file__).parents[1] / "configs" / "logistic_death.json")
     csvs = []
-    for name, section, key, value in (("fd", "continuation", "jac_mode", "fd"),
-                                      ("analytic", "continuation", "jac_mode", "analytic"),
-                                      ("eigen_tol", "model", "eigen_tol", 1e-3)):
+    for mode in (None, "fd", "analytic"):
         cfg = json.loads(json.dumps(shipped))
-        cfg[section][key] = value
-        out = tmp_path / name
-        assert run_command(["continue", "--config", write_cfg(tmp_path, cfg, f"{name}.json"),
+        if mode is not None:
+            cfg["continuation"]["jac_mode"] = mode
+        out = tmp_path / str(mode)
+        assert run_command(["continue", "--config", write_cfg(tmp_path, cfg, f"{mode}.json"),
                             "--out", str(out)]) == 0
         csvs.append((out / "branch.csv").read_bytes())
     assert csvs[0] == csvs[1] == csvs[2]
-
-    cfg = json.loads(json.dumps(SMALL_LOGISTIC))
-    cfg["model"].update(inner_tol=1e-11, fd_eps=1e-7)
-    spec = spec_from_config(load_config(write_cfg(tmp_path, cfg)))
-    assert (spec.n_x, spec.newton_tol) == (10, 1e-10)

@@ -796,3 +796,16 @@ def test_invariant_report_flags_corrupted_point(logistic, logistic_branch):
     assert report.radius_defect > 1e-6
     assert report.eigen_defect > spec.radius_identity_tol * np.max(np.abs(bad_v))
     assert not report.eigen_ok
+
+
+def test_a_full_residual_just_above_its_bound_fails_only_that_check(logistic_spec,
+                                                                      logistic_grid):
+    # u scaled by 1 + 2e-6 solves the age-space equations to about 1.9e-9: above
+    # the bound of 10 * newton_tol, while radius, eigen and positivity pass
+    spec, g = logistic_spec, logistic_grid
+    pt = continue_branch(replace(spec, max_points=3), g).points[-1]
+    bad = replace(pt, u=pt.u * (1.0 + 2e-6))
+    report = branch_invariant_check(bad, spec, g)
+    assert 10.0 * spec.newton_tol < report.full_residual_norm < 100.0 * spec.newton_tol
+    assert not report.residual_ok and not report.passed
+    assert report.radius_ok and report.eigen_ok and report.positivity_ok

@@ -13,7 +13,13 @@ from agebranch import (
     make_spec,
     total_population,
 )
-from agebranch.cli import load_config, read_branch_outputs, spec_from_config, write_branch_outputs
+from agebranch.cli import (
+    branch_records,
+    load_config,
+    read_branch_outputs,
+    spec_from_config,
+    write_branch_outputs,
+)
 from agebranch.errors import PositivityError
 from agebranch.operators import assemble_elliptic, birth_functional
 from agebranch.spectral import bifurcation_point, check_simplicity, perron_eigenpair
@@ -249,11 +255,17 @@ POINT_CHECKS = ("roundtrip", "radius identity", "positivity", "oracle residual",
 
 
 @pytest.fixture(scope="module")
-def exported(short_branch, tmp_path_factory):
-    """The short branch written to disk and read back: (meta, rows, snapshots)."""
-    out = tmp_path_factory.mktemp("exported")
-    write_branch_outputs(short_branch, out, {}, seed=0)
-    return read_branch_outputs(out)
+def exported(short_branch):
+    """The records of the short branch, in memory: (meta, rows, snapshots)."""
+    return branch_records(short_branch, {}, seed=0)
+
+
+def test_the_files_read_back_to_the_records(short_branch, tmp_path):
+    cfg = {"model": {"family": "logistic_death", "n_x": 10, "n_a": 30}, "seed": 7}
+    records = branch_records(short_branch, cfg, seed=7, resolution_scale=2)
+    write_branch_outputs(short_branch, tmp_path, cfg, seed=7, resolution_scale=2)
+    assert read_branch_outputs(tmp_path) == records
+    assert records[0]["n_points"] == len(records[1]) == len(records[2]) > 2
 
 
 def test_verify_branch_passes_every_check_in_order(logistic_small, exported):
@@ -315,8 +327,9 @@ def test_a_csv_value_off_by_1e_10_fails_the_roundtrip(logistic_small, short_bran
     assert failed["point 2 roundtrip"].startswith(f"{column} ")
 
 
-def test_csv_values_read_back_to_the_same_float(short_branch, exported):
-    _, rows, _ = exported
+def test_csv_values_read_back_to_the_same_float(short_branch, tmp_path):
+    write_branch_outputs(short_branch, tmp_path, {}, seed=0)
+    _, rows, _ = read_branch_outputs(tmp_path)
     assert [row["lambda"] for row in rows] == [pt.lam for pt in short_branch.points]
     assert [row["r_Q_u"] for row in rows] == [pt.diagnostics.next_gen_radius
                                               for pt in short_branch.points]
