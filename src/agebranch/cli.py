@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import reprlib
 import sys
 from pathlib import Path
 
@@ -56,8 +57,6 @@ _NUMERICAL_ERRORS = (
 BRANCH_CSV_COLUMNS = ("index", "arclength", "lambda", "u_norm", "min_u",
                       "r_Q_u", "residual_norm")
 DRIFT_CSV_COLUMNS = ("step", "t", "drift", "min_u")
-# the snapshot entries of a complete export, required by verify
-_SNAPSHOT_KEYS = ("v", "u", "lambda", "arclength", "diagnostics.newton_iters")
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 # a solver knob of earlier versions: configs that set it still load
@@ -102,23 +101,51 @@ CONFIG_SCHEMA = {
     },
 }
 
+# the entries of the branch outputs that verify reads, and of a simulate input
+META_SCHEMA = {
+    "type": "object",
+    "required": ["lambda0", "n_points"],
+    "properties": {
+        "lambda0": {"type": "number"},
+        "n_points": {"type": "integer", "minimum": 0},
+        "resolution_scale": {"type": "integer"},
+        "config": {"type": "object"},
+    },
+}
+SNAPSHOT_SCHEMA = {
+    "type": "object",
+    "required": ["v", "u", "lambda", "arclength", "diagnostics"],
+    "properties": {
+        "lambda": {"type": "number"},
+        "arclength": {"type": "number"},
+        "diagnostics": {"type": "object", "required": ["newton_iters"]},
+    },
+}
+FIELD_SCHEMA = {
+    "type": "object",
+    "required": ["u"],
+    "properties": {"lambda": {"type": "number"}},
+}
+
 
 def _schema_violation(value, schema: dict, path: tuple = ()):
     """First violation of ``schema`` by ``value`` as ``(path, message)``, or None.
 
-    Knows the keywords CONFIG_SCHEMA uses (type, enum, required, properties,
-    additionalProperties, minimum, exclusiveMinimum) and reads them as JSON
-    Schema does, except that it also rejects what JSON Schema lets through but
-    the model cannot take: non-finite numbers (``NaN``, ``Infinity``, which
-    Python's json parses) and integral floats such as ``8.0`` for an integer.
-    The tests hold it to jsonschema's decisions on a corpus of configs.
+    Knows the keywords the input schemas use (type, enum, required,
+    properties, additionalProperties, minimum, exclusiveMinimum) and reads
+    them as JSON Schema does, except that it also rejects what JSON Schema
+    lets through but the model cannot take: non-finite numbers (``NaN``,
+    ``Infinity``, which Python's json parses) and integral floats such as
+    ``8.0`` for an integer.  The tests hold it to jsonschema's decisions on a
+    corpus of inputs for each schema.  A message shows a long value abridged,
+    so that a whole field does not land in it.
     """
     kind = schema.get("type")
     if kind == "object" and not isinstance(value, dict):
-        return path, f"{value!r} is not of type 'object'"
+        return path, f"{reprlib.repr(value)} is not of type 'object'"
     if kind in ("number", "integer"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return path, f"{value!r} is not of type {kind!r}"
+            return path, f"{reprlib.repr(value)} is not of type {kind!r}"
         if isinstance(value, float) and not math.isfinite(value):
             return path, f"{value!r} is not a finite number"
         if kind == "integer" and not isinstance(value, int):
@@ -129,7 +156,7 @@ def _schema_violation(value, schema: dict, path: tuple = ()):
             return path, (f"{value!r} is less than or equal to the minimum of "
                           f"{schema['exclusiveMinimum']!r}")
     if "enum" in schema and value not in schema["enum"]:
-        return path, f"{value!r} is not one of {schema['enum']!r}"
+        return path, f"{reprlib.repr(value)} is not one of {schema['enum']!r}"
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
@@ -154,26 +181,27 @@ def _read_text(path: Path, what: str) -> str:
         raise ConfigError(f"{path}: cannot read {what}: {exc}") from exc
 
 
-def _read_json(path: Path, what: str):
-    """Parsed JSON input file; unreadable or invalid JSON is a ConfigError."""
+def _read_json(path: Path, what: str, schema: dict):
+    """Parsed JSON input file that satisfies ``schema``; an unreadable file,
+    invalid JSON or the first violation of ``schema`` is a ConfigError naming
+    ``path`` (and the entry, for a violation)."""
     text = _read_text(path, what)
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    violation = _schema_violation(payload, schema)
+    if violation is not None:
+        where, message = violation
+        raise ConfigError(f"{path}: at {'/'.join(where) or '<root>'}: {message}")
+    return payload
 
 
 def load_config(path) -> dict:
     """Read and schema-validate a run configuration; unknown keys rejected."""
-    path = Path(path)
-    cfg = _read_json(path, "config")
-    violation = _schema_violation(cfg, CONFIG_SCHEMA)
-    if violation is not None:
-        where, message = violation
-        raise ConfigError(f"{path}: at {'/'.join(where) or '<root>'}: {message}")
-    return cfg
+    return _read_json(Path(path), "config", CONFIG_SCHEMA)
 
 
 def spec_from_config(cfg: dict, resolution_scale: int = 1) -> ModelSpec:
@@ -252,40 +280,14 @@ def write_branch_outputs(branch: Branch, out_dir, cfg: dict, seed: int,
     _write_json(out / "branch_meta.json", meta)
 
 
-def _require_keys(payload, keys, path: Path, what: str) -> None:
-    """ConfigError naming ``path`` unless the JSON object has every key
-    (dotted keys reach into nested objects)."""
-    for key in keys:
-        node = payload
-        for part in key.split("."):
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"{path}: {what} has no '{key}' entry")
-            node = node[part]
-
-
-def _number(payload: dict, key: str, path: Path, what: str, kind: str = "number",
-            minimum=None):
-    """``payload[key]`` as a float, or as an int when ``kind`` is "integer";
-    anything but a finite JSON number of that kind (a string, a bool, null,
-    NaN, ``8.0`` for an integer), or one below ``minimum`` when given, is a
-    ConfigError naming ``path`` and ``key``."""
-    schema = {"type": kind} if minimum is None else {"type": kind, "minimum": minimum}
-    violation = _schema_violation(payload[key], schema)
-    if violation is not None:
-        raise ConfigError(f"{path}: {what} '{key}': {violation[1]}")
-    return payload[key] if kind == "integer" else float(payload[key])
-
-
 def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
     """Load branch_meta.json, the CSV rows and the point snapshots; a missing,
     invalid or incomplete file is a ConfigError naming its path (and the line,
     for a CSV row).  The rows must be indexed ``0 .. n_points - 1`` in order."""
     out = Path(out_dir)
     meta_path, csv_path = out / "branch_meta.json", out / "branch.csv"
-    meta = _read_json(meta_path, "branch metadata")
-    _require_keys(meta, ("lambda0", "n_points"), meta_path, "branch metadata")
-    meta["lambda0"] = _number(meta, "lambda0", meta_path, "branch metadata")
-    n_points = _number(meta, "n_points", meta_path, "branch metadata", "integer", minimum=0)
+    meta = _read_json(meta_path, "branch metadata", META_SCHEMA)
+    n_points = meta["n_points"]
     csv_lines = _read_text(csv_path, "branch CSV").rstrip().splitlines()
     header = ",".join(BRANCH_CSV_COLUMNS)
     if not csv_lines or csv_lines[0] != header:
@@ -307,14 +309,8 @@ def read_branch_outputs(out_dir) -> tuple[dict, list[dict], list[dict]]:
     if [row["index"] for row in rows] != list(range(n_points)):
         raise ConfigError(f"{csv_path}: {len(rows)} rows, expected the indices "
                           f"0 .. {n_points - 1} in order ({meta_path.name} n_points)")
-    snapshots = []
-    for row in rows:
-        snap_path = out / "snapshots" / f"point_{row['index']:05d}.json"
-        snapshot = _read_json(snap_path, "snapshot")
-        _require_keys(snapshot, _SNAPSHOT_KEYS, snap_path, "snapshot")
-        for key in ("lambda", "arclength"):
-            snapshot[key] = _number(snapshot, key, snap_path, "snapshot")
-        snapshots.append(snapshot)
+    snapshots = [_read_json(out / "snapshots" / f"point_{row['index']:05d}.json",
+                            "snapshot", SNAPSHOT_SCHEMA) for row in rows]
     return meta, rows, snapshots
 
 
@@ -388,13 +384,11 @@ def _cmd_verify(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     # it was computed for; continuation and seed may differ
     meta_path = Path(args.out) / "branch_meta.json"
     # a branch written before the scale was recorded was computed at scale 1
-    scale = (_number(meta, "resolution_scale", meta_path, "branch metadata", "integer")
-             if "resolution_scale" in meta else 1)
+    scale = meta.get("resolution_scale", 1)
     if scale != args.resolution_scale:
         raise ConfigError(f"{meta_path}: computed at resolution scale {scale}, "
                           f"verified at resolution scale {args.resolution_scale}")
-    _require_keys(meta, ("config", "config.model"), meta_path, "branch metadata")
-    difference = _first_difference(meta["config"]["model"], cfg["model"], "model")
+    difference = _first_difference(meta.get("config", {}).get("model"), cfg["model"], "model")
     if difference is not None:
         raise ConfigError(f"{meta_path}: computed for another model: {difference}")
     checks = verify_branch(meta, rows, snapshots, spec, g)
@@ -410,16 +404,12 @@ def _cmd_simulate(args, cfg: dict, spec: ModelSpec, g: Grid) -> int:
     if path is None:
         raise ConfigError("simulate needs --snapshot or --field")
     path = Path(path)
-    payload = _read_json(path, "simulate input")
-    if not isinstance(payload, dict) or "u" not in payload:
-        raise ConfigError(f"{path}: no 'u' entry with the age-space field")
+    payload = _read_json(path, "simulate input", FIELD_SCHEMA)
     u0 = check_age_space(payload["u"], g, f"{path}: u")
-    lam = args.lam
+    lam = payload.get("lambda") if args.lam is None else args.lam
     if lam is None:
-        if "lambda" not in payload:
-            raise ConfigError(f"{path}: simulate needs an intensity: --lam or a "
-                              "'lambda' entry in the file")
-        lam = _number(payload, "lambda", path, "simulate input")
+        raise ConfigError(f"{path}: simulate needs an intensity: --lam or a "
+                          "'lambda' entry in the file")
 
     start_norm = field_norm(u0, g)
     state = simulate_transient(u0, lam, args.steps, spec, g)

@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 
 import agebranch
-from agebranch import Branch, ModelSpec, build_grid, make_spec
+from agebranch import Branch, ModelSpec, build_grid, continue_branch, make_spec
 from agebranch.cli import (
     BRANCH_CSV_COLUMNS,
     CONFIG_SCHEMA,
+    FIELD_SCHEMA,
+    META_SCHEMA,
+    SNAPSHOT_SCHEMA,
     _schema_violation,
+    branch_records,
     load_config,
     read_branch_outputs,
     run_command,
@@ -60,8 +64,23 @@ def test_schema_doc_is_in_sync():
     assert shipped == CONFIG_SCHEMA
 
 
+# the keywords that _schema_violation reads, and the annotation it skips
+CHECKER_KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties",
+                    "minimum", "exclusiveMinimum", "description"}
+
+
+def _keywords(schema):
+    yield from schema
+    for sub in (*schema.get("properties", {}).values(), schema.get("additionalProperties")):
+        if isinstance(sub, dict):
+            yield from _keywords(sub)
+
+
 def test_config_schema_is_a_valid_schema():
-    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+    # and so is every other input schema, in the keywords the checker knows
+    for schema in (CONFIG_SCHEMA, META_SCHEMA, SNAPSHOT_SCHEMA, FIELD_SCHEMA):
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+        assert set(_keywords(schema)) <= CHECKER_KEYWORDS, schema
 
 
 def test_importing_the_cli_skips_scipy_optimize():
@@ -126,22 +145,26 @@ _ANY = ("x", True, False, None, [], [1.0], {}, {"a": 1}, 0, 1, -1, 3, 0.5, -2.5,
         10**20, 8.0, 0.0, -1.0, float("nan"), float("inf"), float("-inf"))
 
 
-def _config_corpus():
-    """(config, extra) pairs: every shipped config and the small test configs,
-    and mutations of each of them by type, enum value, bound, missing and
-    additional key.  ``extra`` marks the two cases the checker rejects
-    beyond JSON Schema: a non-finite number, an integral float for an integer."""
-    shipped = [json.loads(p.read_text())
-               for p in sorted((Path(__file__).parents[1] / "configs").glob("*.json"))]
-    corpus = [(cfg, False) for cfg in (*shipped, SMALL_LOGISTIC, SMALL_CONSTANT)]
-    schemas = dict(_schema_paths(CONFIG_SCHEMA))
+def _extra(schema, path, value):
+    """Whether the checker rejects ``value`` at ``path`` beyond JSON Schema: a
+    non-finite number, or an integral float for an integer."""
+    sub = schema
+    for key in path:
+        sub = sub.get("properties", {}).get(key, sub.get("additionalProperties", True))
+        if not isinstance(sub, dict):
+            return False
+    kind = sub.get("type")
+    return isinstance(value, float) and kind in ("number", "integer") and (
+        not math.isfinite(value) or (kind == "integer" and value.is_integer()))
 
-    def extra(path, value):
-        return isinstance(value, float) and (
-            not math.isfinite(value)
-            or (schemas.get(path, {}).get("type") == "integer" and value.is_integer()))
 
-    for base in (*shipped, SMALL_LOGISTIC, SMALL_CONSTANT):
+def _spoiled(schema, bases, parents):
+    """(payload, extra) pairs: each base, and mutations of each by type, enum
+    value, bound, missing entry and an additional entry under each of
+    ``parents``; ``extra`` as :func:`_extra`."""
+    corpus = [(base, False) for base in bases]
+    schemas = dict(_schema_paths(schema))
+    for base in bases:
         for path in sorted(set(schemas) | set(_config_paths(base))):
             sub = schemas.get(path, {})
             values = [*_ANY, *sub.get("enum", ()), "bogus"]
@@ -149,22 +172,61 @@ def _config_corpus():
                 if bound is not None:
                     values += [bound - 1, bound, bound + 1, float(bound),
                                bound - 1e-9, bound + 1e-9]
-            corpus += [(_mutated(base, path, value), extra(path, value)) for value in values]
+            corpus += [(_mutated(base, path, value), _extra(schema, path, value))
+                       for value in values]
             corpus.append((_mutated(base, path, delete=True), False))
-        for parent in ((), ("model",), ("continuation",), ("model", "params")):
+        for parent in parents:
             path = parent + ("extra_key",)
-            corpus += [(_mutated(base, path, value), extra(path, value))
+            corpus += [(_mutated(base, path, value), _extra(schema, path, value))
                        for value in ("x", 1.0, float("nan"))]
     return corpus
 
 
-def test_config_checker_decides_as_jsonschema_does():
-    reference = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-    corpus = _config_corpus()
-    assert len(corpus) > 2000
-    for cfg, extra in corpus:
-        accepted = _schema_violation(cfg, CONFIG_SCHEMA) is None
-        assert accepted == (reference.is_valid(cfg) and not extra), cfg
+@pytest.fixture(scope="module")
+def short_records():
+    """The records of a 3-point branch of the small logistic model."""
+    cfg = json.loads(json.dumps(SMALL_LOGISTIC))
+    cfg["continuation"]["max_points"] = 3
+    spec = spec_from_config(cfg)
+    return branch_records(continue_branch(spec, build_grid(spec)), cfg, 0)
+
+
+def test_config_checker_decides_as_jsonschema_does(short_records):
+    # on configs, and on the branch outputs and simulate inputs that verify
+    # and simulate read: the shipped and small configs, a short branch's
+    # metadata and snapshots, and a raw field
+    meta, _, snapshots = short_records
+    shipped = [json.loads(p.read_text())
+               for p in sorted((Path(__file__).parents[1] / "configs").glob("*.json"))]
+    n_x, n_a = SMALL_LOGISTIC["model"]["n_x"], SMALL_LOGISTIC["model"]["n_a"]
+    field = {"u": np.full((n_a + 1, n_x), 0.5).tolist()}
+    cases = [
+        (CONFIG_SCHEMA, [*shipped, SMALL_LOGISTIC, SMALL_CONSTANT],
+         ((), ("model",), ("continuation",), ("model", "params")), 2000),
+        (META_SCHEMA, [meta], ((), ("config",)), 500),
+        (SNAPSHOT_SCHEMA, snapshots, ((), ("diagnostics",)), 800),
+        (FIELD_SCHEMA, [*snapshots, field], ((),), 800),
+    ]
+    for schema, bases, parents, floor in cases:
+        reference = jsonschema.validators.validator_for(schema)(schema)
+        corpus = _spoiled(schema, bases, parents)
+        assert len(corpus) > floor
+        verdicts = set()
+        for payload, extra in corpus:
+            accepted = _schema_violation(payload, schema) is None
+            assert accepted == (reference.is_valid(payload) and not extra), payload
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
+
+
+def test_the_records_of_a_branch_pass_their_schemas(short_records):
+    # what continue writes, verify and simulate read
+    meta, rows, snapshots = short_records
+    assert len(rows) == len(snapshots) == 3
+    assert _schema_violation(meta, META_SCHEMA) is None
+    for snapshot in snapshots:
+        assert _schema_violation(snapshot, SNAPSHOT_SCHEMA) is None
+        assert _schema_violation(snapshot, FIELD_SCHEMA) is None
 
 
 def test_malformed_json_exits_4(tmp_path):
@@ -400,6 +462,18 @@ def test_a_shorter_rerun_leaves_no_stale_snapshot(small_run, tmp_path):
                         "--steps", "2"]) == 4
 
 
+def test_a_failed_simplicity_certificate_refuses_the_branch(tmp_path, capsys):
+    # at d0 = 1e-9 the spectral gap is 3.9e-9, below gap_tol: exit 1, no files
+    cfg = {"model": {"family": "constant", "params": {"d0": 1e-9}, "n_x": 8, "n_a": 20}}
+    out = tmp_path / "out"
+    assert run_command(["continue", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: simplicity certificate failed (pairing 1.000e+00, gap 3.878e-09); "
+        "cannot start the branch\n")
+    assert not (out / "branch.csv").exists()
+
+
 def test_box_below_critical_gives_empty_branch(tmp_path):
     cfg = json.loads(json.dumps(SMALL_LOGISTIC))
     cfg["continuation"]["lambda_max_factor"] = 0.9
@@ -533,8 +607,24 @@ def test_verify_names_a_file_without_an_entry(small_run, tmp_path, capsys, name,
     del node[last]
     (copy / name).write_text(json.dumps(payload))
     assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
+    if key.startswith("config"):
+        # a branch without its model is held to the config's model, and differs
+        reason = "computed for another model: model: absent in branch_meta.json, "
+    else:
+        reason = f"at {'/'.join(parents) or '<root>'}: '{last}' is a required property"
+    assert f"config error: {copy / name}: {reason}" in capsys.readouterr().err
+
+
+def test_verify_names_a_snapshot_that_is_not_an_object(small_run, tmp_path, capsys):
+    # the message shows the value abridged, not the whole field
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    path = copy / "snapshots" / "point_00001.json"
+    path.write_text(json.dumps(json.loads(path.read_text())["u"]))
+    assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
     err = capsys.readouterr().err
-    assert f"config error: {copy / name}: " in err and f"has no '{key}' entry" in err
+    assert err.startswith(f"config error: {path}: at <root>: [[")
+    assert err.endswith("...] is not of type 'object'\n") and len(err) < len(str(path)) + 1000
 
 
 @pytest.mark.parametrize("spoil", [
@@ -554,9 +644,16 @@ def test_verify_names_a_csv_whose_rows_are_not_the_branch(small_run, tmp_path, c
     assert f"expected the indices 0 .. {n_points - 1} in order" in err
 
 
-@pytest.mark.parametrize("value", [8.0, "8", True, None, float("nan"), -1],
-                         ids=["float", "string", "bool", "null", "nan", "negative"])
-def test_verify_names_an_n_points_that_is_not_an_integer(small_run, tmp_path, capsys, value):
+@pytest.mark.parametrize("value,reason", [
+    (8.0, "8.0 is not an integer (write it without a fraction)"),
+    ("8", "'8' is not of type 'integer'"),
+    (True, "True is not of type 'integer'"),
+    (None, "None is not of type 'integer'"),
+    (float("nan"), "nan is not a finite number"),
+    (-1, "-1 is less than the minimum of 0"),
+], ids=["float", "string", "bool", "null", "nan", "negative"])
+def test_verify_names_an_n_points_that_is_not_an_integer(small_run, tmp_path, capsys, value,
+                                                         reason):
     cfg_path, out, _ = small_run
     copy = _copy_run(out, tmp_path / "copy")
     path = copy / "branch_meta.json"
@@ -564,21 +661,25 @@ def test_verify_names_an_n_points_that_is_not_an_integer(small_run, tmp_path, ca
     payload["n_points"] = value
     path.write_text(json.dumps(payload))
     assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
-    assert f"config error: {path}: branch metadata 'n_points': " in capsys.readouterr().err
+    assert f"config error: {path}: at n_points: {reason}" in capsys.readouterr().err
 
 
-NOT_NUMBERS = pytest.mark.parametrize("value", ["abc", True, None, float("nan")],
-                                      ids=["string", "bool", "null", "nan"])
+NOT_NUMBERS = pytest.mark.parametrize("value,reason", [
+    ("abc", "'abc' is not of type 'number'"),
+    (True, "True is not of type 'number'"),
+    (None, "None is not of type 'number'"),
+    (float("nan"), "nan is not a finite number"),
+], ids=["string", "bool", "null", "nan"])
 
 
 @NOT_NUMBERS
-@pytest.mark.parametrize("name,key,what", [
-    ("snapshots/point_00001.json", "lambda", "snapshot"),
-    ("snapshots/point_00001.json", "arclength", "snapshot"),
-    ("branch_meta.json", "lambda0", "branch metadata"),
+@pytest.mark.parametrize("name,key", [
+    ("snapshots/point_00001.json", "lambda"),
+    ("snapshots/point_00001.json", "arclength"),
+    ("branch_meta.json", "lambda0"),
 ], ids=["lambda", "arclength", "lambda0"])
 def test_verify_names_a_snapshot_entry_that_is_not_a_number(small_run, tmp_path, capsys,
-                                                            name, key, what, value):
+                                                            name, key, value, reason):
     cfg_path, out, _ = small_run
     copy = _copy_run(out, tmp_path / "copy")
     path = copy / name
@@ -586,24 +687,23 @@ def test_verify_names_a_snapshot_entry_that_is_not_a_number(small_run, tmp_path,
     payload[key] = value
     path.write_text(json.dumps(payload))
     assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
-    err = capsys.readouterr().err
-    assert f"config error: {path}: {what} '{key}': " in err
-    assert "not of type 'number'" in err or "not a finite number" in err
+    assert f"config error: {path}: at {key}: {reason}" in capsys.readouterr().err
 
 
 @NOT_NUMBERS
 def test_simulate_names_an_input_lambda_that_is_not_a_number(small_run, tmp_path, capsys,
-                                                             value):
+                                                             value, reason):
+    # the entry is checked whenever it is present, also when --lam overrides it
     cfg_path, out, _ = small_run
     path = tmp_path / "point.json"
     payload = json.loads((out / "snapshots" / "point_00001.json").read_text())
     payload["lambda"] = value
     path.write_text(json.dumps(payload))
-    assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
-                        "--snapshot", str(path), "--steps", "2"]) == 4
-    err = capsys.readouterr().err
-    assert f"config error: {path}: simulate input 'lambda': " in err
-    assert "not of type 'number'" in err or "not a finite number" in err
+    for lam in ([], ["--lam", "1.0"]):
+        assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
+                            "--snapshot", str(path), "--steps", "2", *lam]) == 4
+        assert f"config error: {path}: at lambda: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("key,name", [("v", "snapshot 1 trace"), ("u", "snapshot 1")],
@@ -720,7 +820,19 @@ def test_simulate_names_a_field_file_without_u(tmp_path, capsys):
     path.write_text(json.dumps({"lambda": 1.0}))
     assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
                         "--field", str(path)]) == 4
-    assert f"{path}: no 'u' entry" in capsys.readouterr().err
+    assert (f"config error: {path}: at <root>: 'u' is a required property"
+            in capsys.readouterr().err)
+
+
+def test_simulate_names_a_field_file_without_an_intensity(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, SMALL_LOGISTIC)
+    path = tmp_path / "field.json"
+    n_x, n_a = SMALL_LOGISTIC["model"]["n_x"], SMALL_LOGISTIC["model"]["n_a"]
+    path.write_text(json.dumps({"u": np.ones((n_a + 1, n_x)).tolist()}))
+    assert run_command(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
+                        "--field", str(path)]) == 4
+    assert (f"config error: {path}: simulate needs an intensity: --lam or a 'lambda' "
+            "entry in the file") in capsys.readouterr().err
 
 
 def test_oracle_subcommand(tmp_path, capsys):

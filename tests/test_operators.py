@@ -58,6 +58,20 @@ def test_three_node_stencil_hand_assembled():
     assert np.allclose(dense[0], [8.0, -8.0, 0.0])
 
 
+def test_four_node_stencil_hand_assembled_at_unequal_diffusivities():
+    # d = 1 + U^2 and mu = U/2 at U = (0, 1, 2, 3), dx = 1/3: nodal d
+    # (1, 2, 5, 10), faces the arithmetic means (1.5, 3.5, 7.5) times 9, and
+    # each boundary row sees its one face twice
+    spec = make_spec("density_diffusion", {"d0": 1.0, "d1": 1.0, "mu0": 0.0, "kappa": 0.5},
+                     n_x=4, n_a=2)
+    g = build_grid(spec)
+    dense = to_dense(assemble_elliptic(np.arange(4.0), 0.0, spec, g))
+    assert np.allclose(dense, [[27.0, -27.0, 0.0, 0.0],
+                               [-13.5, 45.5, -31.5, 0.0],
+                               [0.0, -31.5, 100.0, -67.5],
+                               [0.0, 0.0, -135.0, 136.5]], rtol=1e-13, atol=0.0)
+
+
 def test_weighted_symmetry_and_m_matrix_signs(rng):
     spec = make_spec("density_diffusion", {"d1": 0.7, "kappa": 0.5}, n_x=14, n_a=6)
     g = build_grid(spec)
@@ -243,18 +257,6 @@ def test_operator_matches_matrix_free_application(rng, logistic_spec, logistic_g
     assert np.allclose(Q @ v, direct, rtol=1e-12, atol=1e-12)
 
 
-def test_operator_assembled_in_column_chunks(rng, logistic_spec, logistic_grid, monkeypatch):
-    # a fine grid marches the columns a few at a time; the map must not change
-    import agebranch.operators as operators
-
-    g = logistic_grid
-    u = rng.random((g.n_a + 1, g.n_x))
-    whole = next_generation_operator(u, logistic_spec, g)
-    monkeypatch.setattr(operators, "_STACK_BYTES", 5 * (g.n_a + 1) * g.n_x * 8)
-    assert np.allclose(next_generation_operator(u, logistic_spec, g), whole,
-                       rtol=1e-13, atol=0.0)
-
-
 def test_operator_entries_nonnegative(rng, logistic_spec, logistic_grid):
     g = logistic_grid
     u = rng.random((g.n_a + 1, g.n_x))
@@ -316,10 +318,11 @@ def test_marched_age_sum_matches_the_march(rng, name):
     _check_age_sums(_mixed_models(12, 40)[name], rng)
 
 
-@pytest.mark.parametrize("name", ["age-free b, aged mu", "aged b, age-free mu"])
+@pytest.mark.parametrize("name", ["age-free b, aged mu", "aged b, age-free mu", "65 nodes"])
 def test_marched_age_sum_in_column_chunks(rng, monkeypatch, name):
     # a fine grid marches the identity a few columns at a time; the map must
-    # not change (an age-free model sums by powers and marches no columns)
+    # not change (an age-free model on at most 64 nodes sums by powers and
+    # marches no columns; on 65 each age step is a solve)
     import agebranch.operators as operators
 
     spec = _mixed_models(12, 40)[name]
