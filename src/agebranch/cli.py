@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .errors import (
-    CoefficientBoundError,
     ConfigError,
     NoPositiveEigenvalueError,
     PositivityError,
@@ -45,7 +44,6 @@ from .spectral import bifurcation_point, check_simplicity
 from .validate import fmt17, simulate_transient, verify_branch
 
 _NUMERICAL_ERRORS = (
-    CoefficientBoundError,
     NoPositiveEigenvalueError,
     PositivityError,
     SingularSystemError,

@@ -298,13 +298,12 @@ def weighted_inner(a: SpatialField, b: SpatialField, g: Grid) -> float:
 
 # -- built-in coefficient families -----------------------------------------
 
-FAMILY_NAMES = ("constant", "logistic_death", "density_diffusion")
-
 _FAMILY_PARAMS = {
     "constant": {"d0": 1.0, "mu0": 1.0, "b0": 1.0},
     "logistic_death": {"d0": 1.0, "mu0": 1.0, "b0": 1.0, "kappa": 1.0},
     "density_diffusion": {"d0": 1.0, "d1": 0.5, "mu0": 1.0, "b0": 1.0, "kappa": 1.0},
 }
+FAMILY_NAMES = tuple(_FAMILY_PARAMS)
 
 
 def family_parameters(family: str, params: dict | None = None) -> dict:

@@ -43,13 +43,12 @@ from .model import (
     check_age_space,
     check_shape,
     check_spatial,
-    total_population,
 )
 
 DenseOperator = np.ndarray
 
-# memory cap on the age stack of one return-map march: all columns at once on
-# the shipped grids, a few at a time on fine grids such as 128 x 1600
+# memory cap on the age stack of one march of identity columns (return map,
+# Jacobian du/dv): all columns at once on the shipped grids, 40 at 128 x 400
 _STACK_BYTES = 16 * 2**20
 
 # the widest grid whose marches and age sums under one step system take products
@@ -349,9 +348,8 @@ def identity_age_sums(U: SpatialField, b: np.ndarray, factors: tuple, spec: Mode
     with ``T = sum_{k < n_a} P^k``; ``T_2m = (I + P^m) T_m`` and ``T_m+1 =
     T_m + P^m`` over the bits of ``n_a`` (Knuth, TAOCP 2, 4.6.3) take
     ``~2 log2 n_a`` products, not ``n_a``, summing the march's nonnegative
-    terms in another order.  Else the identity is marched, whole with
-    ``plain`` (the Jacobian's ``du/dU`` march holds such a stack anyway), or
-    in as many columns at a time as keep one within ``_STACK_BYTES``."""
+    terms in another order.  Else the identity is marched in as many columns
+    at a time as keep one stack within ``_STACK_BYTES``."""
     (d, e), n = factors, g.n_x
     if len(d) == 1 and n <= _INVERSE_MAX_NODES and len(row := _one_row(b)) == 1:
         step = _step_inverse(d[0], e[0])
@@ -366,7 +364,7 @@ def identity_age_sums(U: SpatialField, b: np.ndarray, factors: tuple, spec: Mode
         K = _check_finite(K * (_d_scale(n) / _d_scale(n)[:, None]))
         return row[0][:, None] * K, K
     wb, eye = g.w_a[:, None] * b, np.eye(n)
-    width = n if plain else max(1, _STACK_BYTES // ((g.n_a + 1) * n * eye.itemsize))
+    width = max(1, _STACK_BYTES // ((g.n_a + 1) * n * eye.itemsize))
     weighted, K = np.empty((n, n)), np.empty((n, n)) if plain else None
     for cols in (np.s_[j:j + width] for j in range(0, n, width)):
         marched = evolve(U, eye[:, cols], spec, g, factors=factors)
@@ -377,15 +375,14 @@ def identity_age_sums(U: SpatialField, b: np.ndarray, factors: tuple, spec: Mode
     return weighted, K
 
 
-def next_generation_operator(u: AgeSpaceField, spec: ModelSpec, g: Grid) -> DenseOperator:
-    """Dense birth-return map on traces, frozen at the field ``u``.
+def next_generation_operator(U: SpatialField, spec: ModelSpec, g: Grid) -> DenseOperator:
+    """Dense birth-return map on traces, frozen at the total population ``U``.
 
-    Column ``j`` equals ``birth_functional(U, evolve(U, e_j), 1)`` with
-    ``U = total_population(u)``: newborns placed at node ``j`` are evolved
-    through all ages and weighted by the birth rate: the weighted age sum of
-    :func:`identity_age_sums`, ``diag(b) K`` when ``b`` is age-free.
+    Column ``j`` equals ``birth_functional(U, evolve(U, e_j), 1)``: newborns
+    placed at node ``j`` are evolved through all ages and weighted by the
+    birth rate: the weighted age sum of :func:`identity_age_sums`,
+    ``diag(b) K`` when ``b`` is age-free.
     """
-    u = check_age_space(u, g, "frozen field")
-    U = total_population(u, g)
+    U = check_spatial(U, g, "total population")
     b = spec.rate_table("b", U, g.a_nodes)
     return identity_age_sums(U, b, _age_systems(U, spec, g, g.a_nodes), spec, g)[0]

@@ -18,8 +18,7 @@ from .model import Grid
 
 def survival_sum(m: float, g: Grid) -> float:
     """Trapezoid age integral of the implicit-Euler survival profile."""
-    decay = (1.0 + m * g.da) ** (-np.arange(g.n_a + 1))
-    return float(np.dot(g.w_a, decay))
+    return float(np.dot(g.w_a, homogeneous_profile(1.0, m, g)))
 
 
 def homogeneous_profile(amplitude: float, m: float, g: Grid) -> np.ndarray:

@@ -257,14 +257,14 @@ def _finish_point(lam, v, u, rnorm, newton_iters, jacobians, spec, g) -> BranchP
     ``<w v, y> / <w v, v>``, which the Collatz-Wielandt ratios ``y_i / v_i``
     bracket (Horn & Johnson, Matrix Analysis, ch. 8).  A trace with a
     non-positive entry takes the dense return map and its Perron solve."""
+    U = total_population(u, g)
     if v.min() > 0.0:
-        U = total_population(u, g)
         y = birth_functional(U, evolve(U, v, spec, g), 1.0, spec, g)
         wv = g.w_x * v
         radius = float(wv @ y) / float(wv @ v)
     else:
         try:
-            radius = perron_eigenpair(next_generation_operator(u, spec, g), weights=g.w_x).radius
+            radius = perron_eigenpair(next_generation_operator(U, spec, g), weights=g.w_x).radius
         except NoPositiveEigenvalueError:
             radius = float("nan")
     diags = PointDiagnostics(
@@ -385,14 +385,14 @@ class InvariantReport:
 
 def branch_invariant_check(pt: BranchPoint, spec: ModelSpec, g: Grid) -> InvariantReport:
     """Report the defects of ``lam * radius(Q) = 1`` and ``lam * Q v = v``,
-    with ``Q`` the return map frozen at ``u``, and the oracle residual.
+    with ``Q`` the return map frozen at ``u``'s population, and the oracle residual.
 
     Reads ``pt.lam``, ``pt.v`` and ``pt.u`` only.  The eigen defect
     ``max|lam * Q v - v|`` passes at or below ``radius_identity_tol * max|v|``.
     Trivial (zero) points report the radius but are not failed on the radius
     identity, which only holds for positive solutions.
     """
-    Q = next_generation_operator(pt.u, spec, g)
+    Q = next_generation_operator(total_population(pt.u, g), spec, g)
     radius = perron_eigenpair(Q, weights=g.w_x).radius
     defect = abs(pt.lam * radius - 1.0)
     eigen_defect = float(np.max(np.abs(pt.lam * (Q @ pt.v) - pt.v)))

@@ -141,7 +141,7 @@ def bifurcation_point(spec: ModelSpec, g: Grid) -> BifurcationPoint:
     if not np.any(spec.rate_table("b", np.zeros(g.n_x), g.a_nodes)):
         raise ValueError("birth rate at zero density vanishes on the entire age grid")
 
-    Q0 = next_generation_operator(np.zeros((g.n_a + 1, g.n_x)), spec, g)
+    Q0 = next_generation_operator(np.zeros(g.n_x), spec, g)
     res = perron_eigenpair(Q0, weights=g.w_x)
     if not res.positive:
         raise PositivityError(

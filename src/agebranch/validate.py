@@ -104,7 +104,7 @@ def kernel_dimension(lam: float, v: SpatialField, U: SpatialField, spec: ModelSp
     Counts singular values below ``rank_tol`` times the largest in the
     ``(v, U)`` columns of :func:`jacobian` at ``u = E(U) v``, and compares
     with the same count for ``I - lam * Q`` where ``Q`` is the birth-return
-    map frozen at ``u``.
+    map frozen at the Jacobian's ``U``.
     """
     v = check_spatial(v, g, "trace")
     u = evolve(U, v, spec, g)
@@ -112,7 +112,7 @@ def kernel_dimension(lam: float, v: SpatialField, U: SpatialField, spec: ModelSp
     sv = np.linalg.svd(J, compute_uv=False)
     dim = int(np.sum(sv < spec.rank_tol * sv[0]))
 
-    eig_op = np.eye(g.n_x) - lam * next_generation_operator(u, spec, g)
+    eig_op = np.eye(g.n_x) - lam * next_generation_operator(U, spec, g)
     sv_eig = np.linalg.svd(eig_op, compute_uv=False)
     dim_eigen = int(np.sum(sv_eig < spec.rank_tol * sv_eig[0]))
 

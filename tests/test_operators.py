@@ -136,6 +136,18 @@ def test_evolve_matches_scalar_recurrence(constant_spec, constant_grid):
     assert np.allclose(u, expected[:, None], rtol=1e-12)
 
 
+def test_evolve_under_an_aged_death_rate_matches_scalar_recurrence():
+    # a trace constant in x stays so, and step k divides it by
+    # 1 + da * mu(U, a_k): the death rate at the age the step arrives at
+    spec = ModelSpec(d=lambda z: np.ones_like(z), mu=lambda z, a: (1.0 + a) * (1.0 + z),
+                     b=lambda z, a: np.ones_like(z + a), d_lower=1.0, n_x=8, n_a=30)
+    g = build_grid(spec)
+    u = evolve(np.full(g.n_x, 0.4), np.full(g.n_x, 2.0), spec, g)
+    steps = 1.0 + g.da * 1.4 * (1.0 + g.a_nodes[1:])
+    expected = 2.0 * np.cumprod(np.concatenate(([1.0], 1.0 / steps)))
+    assert np.allclose(u, expected[:, None], rtol=1e-12, atol=0.0)
+
+
 def test_evolve_preserves_nonnegativity(rng, constant_spec, constant_grid):
     g = constant_grid
     w0 = rng.random(g.n_x)
@@ -234,7 +246,7 @@ def test_birth_shape_mismatch(constant_spec, constant_grid):
 def test_zero_birth_gives_zero_operator():
     spec = make_spec("constant", {"b0": 0.0}, n_x=6, n_a=10)
     g = build_grid(spec)
-    Q = next_generation_operator(np.zeros((g.n_a + 1, g.n_x)), spec, g)
+    Q = next_generation_operator(np.zeros(g.n_x), spec, g)
     assert np.all(Q == 0.0)
 
 
@@ -242,7 +254,7 @@ def test_constant_coefficients_match_scalar_sum():
     b0, mu0 = 1.0, 1.0
     spec = make_spec("constant", {"mu0": mu0, "b0": b0}, n_x=10, n_a=24)
     g = build_grid(spec)
-    Q = next_generation_operator(np.zeros((g.n_a + 1, g.n_x)), spec, g)
+    Q = next_generation_operator(np.zeros(g.n_x), spec, g)
     applied = Q @ np.ones(g.n_x)
     assert np.allclose(applied, b0 * survival_sum(mu0, g), rtol=1e-12)
 
@@ -251,16 +263,23 @@ def test_operator_matches_matrix_free_application(rng, logistic_spec, logistic_g
     g = logistic_grid
     u = rng.random((g.n_a + 1, g.n_x))
     U = total_population(u, g)
-    Q = next_generation_operator(u, logistic_spec, g)
+    Q = next_generation_operator(U, logistic_spec, g)
     v = rng.standard_normal(g.n_x)
     direct = birth_functional(U, evolve(U, v, logistic_spec, g), 1.0, logistic_spec, g)
     assert np.allclose(Q @ v, direct, rtol=1e-12, atol=1e-12)
 
 
+def test_operator_takes_the_total_population(logistic_spec, logistic_grid):
+    g = logistic_grid
+    with pytest.raises(ValueError, match=rf"^total population has shape \({g.n_a + 1}, "
+                                         rf"{g.n_x}\), expected \({g.n_x},\)$"):
+        next_generation_operator(np.zeros((g.n_a + 1, g.n_x)), logistic_spec, g)
+
+
 def test_operator_entries_nonnegative(rng, logistic_spec, logistic_grid):
     g = logistic_grid
     u = rng.random((g.n_a + 1, g.n_x))
-    Q = next_generation_operator(u, logistic_spec, g)
+    Q = next_generation_operator(total_population(u, g), logistic_spec, g)
     assert Q.min() >= 0.0
 
 
@@ -299,7 +318,7 @@ def _check_age_sums(spec, rng):
     for got, want in zip((weighted, K), _march_sums(U, spec, g)):
         assert want.min() > 0.0 and got.min() > 0.0
         assert np.abs(got / want - 1.0).max() <= 1e-13
-    assert np.array_equal(next_generation_operator(u, spec, g), weighted)
+    assert np.array_equal(next_generation_operator(U, spec, g), weighted)
     J, n = jacobian(1.7, U, u, spec, g), g.n_x
     expected = -1.7 * weighted
     expected[np.diag_indices(n)] += 1.0
@@ -320,17 +339,30 @@ def test_marched_age_sum_matches_the_march(rng, name):
 
 @pytest.mark.parametrize("name", ["age-free b, aged mu", "aged b, age-free mu", "65 nodes"])
 def test_marched_age_sum_in_column_chunks(rng, monkeypatch, name):
-    # a fine grid marches the identity a few columns at a time; the map must
-    # not change (an age-free model on at most 64 nodes sums by powers and
-    # marches no columns; on 65 each age step is a solve)
+    # a fine grid marches the identity a few columns at a time, for the return
+    # map and the Jacobian's du/dv alike; neither may change (an age-free
+    # model on at most 64 nodes sums by powers and marches no columns; on 65
+    # each age step is a solve)
     import agebranch.operators as operators
 
     spec = _mixed_models(12, 40)[name]
     g = build_grid(spec)
     u = 0.5 * rng.random((g.n_a + 1, g.n_x))
-    whole = next_generation_operator(u, spec, g)
-    monkeypatch.setattr(operators, "_STACK_BYTES", 5 * (g.n_a + 1) * g.n_x * 8)
-    assert np.allclose(next_generation_operator(u, spec, g), whole, rtol=1e-13, atol=0.0)
+    U, n = total_population(u, g), g.n_x
+    whole, J = next_generation_operator(U, spec, g), jacobian(1.7, U, u, spec, g)
+    monkeypatch.setattr(operators, "_STACK_BYTES", 5 * (g.n_a + 1) * n * 8)
+    assert np.allclose(next_generation_operator(U, spec, g), whole, rtol=1e-13, atol=0.0)
+    march, widths = operators.evolve, []
+
+    def recorded(*args, **kwargs):
+        widths.append(args[1].shape[1])  # the identity columns of one march
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "evolve", recorded)
+    chunked = jacobian(1.7, U, u, spec, g)
+    assert max(widths) == 5 and sum(widths) == n
+    for block in (np.s_[:n, :n], np.s_[n:, :n]):
+        assert np.allclose(chunked[block], J[block], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("name", [None, "age-free b, aged mu", "aged b, age-free mu",
@@ -346,6 +378,7 @@ def test_age_sums_march_only_without_one_system_and_one_birth_row(rng, monkeypat
         _mixed_models(12, 40)[name]
     g = build_grid(spec)
     u = 0.5 * rng.random((g.n_a + 1, g.n_x))
+    U = total_population(u, g)
     calls = []
 
     def counted(module, fname):
@@ -361,10 +394,10 @@ def test_age_sums_march_only_without_one_system_and_one_birth_row(rng, monkeypat
         counted(module, "evolve")
         counted(module, "_age_systems")
     marches = 0 if name is None else 1
-    next_generation_operator(u, spec, g)
+    next_generation_operator(U, spec, g)
     assert calls == ["_age_systems"] + ["evolve"] * marches
     calls.clear()
-    jacobian(1.7, total_population(u, g), u, spec, g)
+    jacobian(1.7, U, u, spec, g)
     assert calls == ["_age_systems"] + ["evolve"] * (marches + 1)
 
 
@@ -579,7 +612,7 @@ def test_age_free_rates_give_the_numbers_of_an_age_axis(family, rng):
                 evolve(U, np.zeros((g.n_x, g.n_x)), spec, g, source=bands),
                 advance_cohorts(U, u, spec, g),
                 state.field, state.drift_history, state.min_history,
-                next_generation_operator(u, spec, g),
+                next_generation_operator(U, spec, g),
                 jacobian(1.7, U, u, spec, g),
                 full_residual(1.7, u, spec, g)]
 
@@ -604,7 +637,7 @@ def test_age_free_negative_death_rate_names_the_age(run, age_index):
 @pytest.mark.parametrize("run", [
     lambda U, u, spec, g: simulate_transient(u, 1.0, 1, spec, g),
     lambda U, u, spec, g: birth_functional(U, u, 1.0, spec, g),
-    lambda U, u, spec, g: next_generation_operator(u, spec, g),
+    lambda U, u, spec, g: next_generation_operator(U, spec, g),
 ])
 def test_age_free_non_finite_birth_rate_names_the_age(run):
     spec = ModelSpec(d=lambda z: np.ones_like(z), mu=lambda z, a: np.ones_like(z),

@@ -244,10 +244,9 @@ def test_jacobian_at_origin_is_eigen_operator(constant_spec, constant_grid):
     g = constant_grid
     n = g.n_x
     lam0 = bifurcation_point(constant_spec, g).lambda0
-    zero = np.zeros((g.n_a + 1, n))
-    Q0 = next_generation_operator(zero, constant_spec, g)
+    Q0 = next_generation_operator(np.zeros(n), constant_spec, g)
     expected = np.hstack([np.eye(n) - lam0 * Q0, np.zeros((n, n))])
-    J = jacobian(lam0, np.zeros(n), zero, constant_spec, g)
+    J = jacobian(lam0, np.zeros(n), np.zeros((g.n_a + 1, n)), constant_spec, g)
     assert np.max(np.abs(J[:n, :2 * n] - expected)) <= 1e-13
 
 
@@ -597,7 +596,7 @@ def test_branch_bookkeeping_invariants(logistic, logistic_branch):
 def test_trace_is_perron_vector_of_frozen_map(logistic, logistic_branch):
     spec, g = logistic
     for pt in logistic_branch.points[::5]:
-        Q = next_generation_operator(pt.u, spec, g)
+        Q = next_generation_operator(total_population(pt.u, g), spec, g)
         defect = np.max(np.abs(pt.lam * Q @ pt.v - pt.v))
         assert defect <= 1e-8 * np.max(np.abs(pt.v))
 
@@ -622,11 +621,11 @@ def test_radius_of_each_point_is_the_perron_radius_from_one_march():
     assert len(branch.points) >= 100
     assert max(np.ptp(total_population(pt.u, g)) for pt in branch.points) >= 0.5
     for pt in branch.points:
-        dense = perron_eigenpair(next_generation_operator(pt.u, spec, g), weights=g.w_x).radius
+        U = total_population(pt.u, g)
+        dense = perron_eigenpair(next_generation_operator(U, spec, g), weights=g.w_x).radius
         assert abs(pt.diagnostics.next_gen_radius - dense) <= 1e-13 * dense
         # the Collatz-Wielandt ratios of the positive trace bracket the radius;
         # their spread is the converged residual over v (up to 1.2e-12 here)
-        U = total_population(pt.u, g)
         ratios = birth_functional(U, evolve(U, pt.v, spec, g), 1.0, spec, g) / pt.v
         assert ratios.min() - 1e-14 * dense <= dense <= ratios.max() + 1e-14 * dense
         assert ratios.max() - ratios.min() <= 1e-11 * dense
@@ -640,7 +639,8 @@ def test_a_trace_with_a_zero_entry_takes_the_dense_radius(monkeypatch):
     v = np.linspace(0.0, 1.0, g.n_x)
     U = np.full(g.n_x, 0.3)
     u = evolve(U, v, spec, g)
-    dense = perron_eigenpair(next_generation_operator(u, spec, g), weights=g.w_x).radius
+    dense = perron_eigenpair(next_generation_operator(total_population(u, g), spec, g),
+                             weights=g.w_x).radius
     assembled = []
 
     def counted(*args):

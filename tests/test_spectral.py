@@ -39,7 +39,7 @@ def test_constant_coefficient_return_map_radius(constant_spec, constant_grid):
     from agebranch.operators import next_generation_operator
 
     g = constant_grid
-    Q = next_generation_operator(np.zeros((g.n_a + 1, g.n_x)), constant_spec, g)
+    Q = next_generation_operator(np.zeros(g.n_x), constant_spec, g)
     res = perron_eigenpair(Q, weights=g.w_x)
     assert abs(res.radius - survival_sum(1.0, g)) <= 1e-12
     assert np.allclose(res.phi, 1.0, atol=1e-12)

@@ -21,7 +21,13 @@ from agebranch.cli import (
     write_branch_outputs,
 )
 from agebranch.errors import PositivityError
-from agebranch.operators import assemble_elliptic, birth_functional
+from agebranch.model import ModelSpec
+from agebranch.operators import (
+    assemble_elliptic,
+    birth_functional,
+    evolve,
+    next_generation_operator,
+)
 from agebranch.spectral import bifurcation_point, check_simplicity, perron_eigenpair
 from agebranch.validate import fmt17, kernel_dimension, simulate_transient, verify_branch
 
@@ -89,6 +95,24 @@ def test_one_step_matches_manual_composition(model_at, rng):
     mixed = np.vstack([u0[:1], manual[1:]])
     manual[0] = birth_functional(U, mixed, lam, spec, g)
     assert np.allclose(state.field, manual, rtol=1e-14, atol=1e-15)
+
+
+def test_transient_of_a_constant_in_x_field_matches_scalar_recurrence():
+    # a field constant in x stays so: each step divides cohort k - 1 by
+    # 1 + da * mu(U) and takes the newborns at b(U), with U the population at
+    # the start of the step, not at its end
+    spec = ModelSpec(d=lambda z: np.ones_like(z), mu=lambda z, a: 1.0 + z + 0.0 * a,
+                     b=lambda z, a: 2.0 / (1.0 + z) + 0.0 * a, d_lower=1.0, n_x=6, n_a=20)
+    g = build_grid(spec)
+    lam = 1.3
+    c = np.linspace(1.0, 0.2, g.n_a + 1)
+    state = simulate_transient(np.repeat(c[:, None], g.n_x, axis=1), lam, 3, spec, g)
+    for _ in range(3):
+        U = float(g.w_a @ c)
+        new = np.concatenate((c[:1], c[:-1] / (1.0 + g.da * (1.0 + U))))
+        new[0] = lam * 2.0 / (1.0 + U) * float(g.w_a @ new)
+        c = new
+    assert np.allclose(state.field, c[:, None], rtol=1e-13, atol=0.0)
 
 
 def test_subcritical_extinction_rate():
@@ -211,6 +235,19 @@ def test_kernel_counts_agree_at_random_points(logistic_small, rng):
         v, U = 0.2 * rng.random(g.n_x), 0.2 * rng.random(g.n_x)
         report = kernel_dimension(lam, v, U, spec, g)
         assert report.agree
+
+
+def test_kernel_cross_check_is_frozen_at_the_jacobians_population(logistic_small, rng):
+    # off a solution the march of v has another population than U; at the
+    # lam where I - lam Q(U) is singular the cross-check counts that kernel
+    spec, g = logistic_small
+    v, U = rng.random(g.n_x), 0.3 + rng.random(g.n_x)
+    Q = next_generation_operator(U, spec, g)
+    lam = 1.0 / perron_eigenpair(Q, weights=g.w_x).radius
+    assert np.abs(total_population(evolve(U, v, spec, g), g) - U).max() >= 0.1
+    sv = np.linalg.svd(np.eye(g.n_x) - lam * Q, compute_uv=False)
+    direct = int(np.sum(sv < spec.rank_tol * sv[0]))
+    assert kernel_dimension(lam, v, U, spec, g).dim_eigen == direct == 1
 
 
 def test_kernel_counts_disagree_at_a_regular_branch_point():
