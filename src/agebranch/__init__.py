@@ -57,48 +57,3 @@ from .validate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineConstraint",
-    "AgeSpaceField",
-    "BifurcationPoint",
-    "Branch",
-    "BranchPoint",
-    "CoefficientBoundError",
-    "ConfigError",
-    "EllipticOperator",
-    "FAMILY_NAMES",
-    "Grid",
-    "InvariantReport",
-    "KernelReport",
-    "ModelSpec",
-    "NoPositiveEigenvalueError",
-    "PerronResult",
-    "PointDiagnostics",
-    "PositivityError",
-    "SimplicityCertificate",
-    "SingularSystemError",
-    "SpatialField",
-    "StepFailureError",
-    "TransientState",
-    "assemble_elliptic",
-    "bifurcation_point",
-    "birth_functional",
-    "branch_invariant_check",
-    "build_grid",
-    "check_simplicity",
-    "continue_branch",
-    "evolve",
-    "field_norm",
-    "full_residual",
-    "jacobian",
-    "kernel_dimension",
-    "make_spec",
-    "newton_correct",
-    "next_generation_operator",
-    "perron_eigenpair",
-    "simulate_transient",
-    "total_population",
-    "trace_norm",
-    "weighted_inner",
-]

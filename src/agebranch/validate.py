@@ -9,6 +9,7 @@ of the stepper up to solver tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,9 @@ from .model import (
     trace_norm,
 )
 from .operators import advance_cohorts, birth_functional, evolve, next_generation_operator
+from .records import fmt17
 from .solver import BranchPoint, branch_invariant_check, jacobian
 from .spectral import bifurcation_point
-
-
-def fmt17(x: float) -> str:
-    """``x`` with 17 significant digits, enough to read back the same float."""
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -123,17 +120,20 @@ def verify_branch(meta: dict, rows: list[dict], snapshots: list[dict], spec: Mod
                   g: Grid) -> list[tuple[str, bool, str]]:
     """Every check of an exported branch, in order, as ``(name, passed, detail)``.
 
-    The inputs are the records of a branch: ``cli.branch_records`` of a
-    ``Branch`` in memory, or ``cli.read_branch_outputs`` of the files that
-    ``cli.write_branch_outputs`` wrote, which give the same triple.  Per point: the
-    CSV row round-trips against the snapshot (to 1e-12 relative; a failure
-    names each column that differs, with both values), then the
+    The inputs are the records of a branch: ``records.branch_records`` of a
+    ``Branch`` in memory, or ``records.read_branch_outputs`` of the files that
+    ``records.write_branch_outputs`` wrote, which give the same triple.  Per
+    point: the CSV row round-trips against the snapshot (to 1e-12 relative,
+    and never when either value is not finite; a failure names each column
+    that differs, with both values), then the
     four checks of :func:`branch_invariant_check`; then the kernel dimension
     at ``lambda0`` and the transversality of the crossing.  A snapshot field
     of the wrong shape raises ``ValueError``.
     """
     def close(a, b):
-        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        # a value that is not finite never round-trips: with b = inf both
+        # sides of the bound would be infinite
+        return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     checks = []
     for row, snap in zip(rows, snapshots):

@@ -22,8 +22,9 @@ from agebranch import (
     total_population,
     weighted_inner,
 )
-from agebranch.cli import read_branch_outputs, run_command, spec_from_config
+from agebranch.cli import run_command, spec_from_config
 from agebranch.oracles import closed_form_critical_intensity, equilibrium_intensity
+from agebranch.records import read_branch_outputs
 from agebranch.solver import BranchPoint, PointDiagnostics
 from agebranch.spectral import bifurcation_point, check_simplicity
 from agebranch.validate import kernel_dimension, simulate_transient

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,10 @@ import pytest
 
 import agebranch
 from agebranch import Branch, ModelSpec, build_grid, continue_branch, make_spec
-from agebranch.cli import (
+from agebranch.cli import run_command, spec_from_config
+from agebranch.errors import ConfigError
+from agebranch.oracles import closed_form_critical_intensity, discrete_critical_intensity
+from agebranch.records import (
     BRANCH_CSV_COLUMNS,
     CONFIG_SCHEMA,
     FIELD_SCHEMA,
@@ -20,14 +24,11 @@ from agebranch.cli import (
     SNAPSHOT_SCHEMA,
     _schema_violation,
     branch_records,
+    fmt17,
     load_config,
     read_branch_outputs,
-    run_command,
-    spec_from_config,
 )
-from agebranch.errors import ConfigError
-from agebranch.oracles import closed_form_critical_intensity, discrete_critical_intensity
-from agebranch.validate import fmt17, simulate_transient
+from agebranch.validate import simulate_transient
 
 SMALL_LOGISTIC = {
     "model": {
@@ -572,12 +573,34 @@ def _spoil_csv_line(lineno, edit):
     return spoil
 
 
+def _spoil_csv_column(column, token):
+    """Set ``column`` to ``token`` in every row; the first row is line 2."""
+    def spoil(lines):
+        at = lines[0].split(",").index(column)
+        for i in range(1, len(lines)):
+            fields = lines[i].split(",")
+            fields[at] = token
+            lines[i] = ",".join(fields)
+        return lines
+    return spoil, f":2: at column {column}: {token!r} is not a finite number"
+
+
+# a field holds only what the writer writes: a finite number as fmt17 (or
+# str, for the index) writes it
+UNWRITTEN_FIELDS = [("lambda", "inf"), ("arclength", "inf"), ("r_Q_u", "inf"),
+                    ("u_norm", "-inf"), ("min_u", "nan"), ("residual_norm", "1e309"),
+                    ("lambda", "1_0"), ("arclength", " 0.5"), ("u_norm", "+1"),
+                    ("index", "1_0")]
+
+
 @pytest.mark.parametrize("spoil,where", [
     (_spoil_csv_line(3, lambda line: ",".join(line.split(",")[:4])), ":3: 4 fields"),
     (lambda lines: [], ":1: expected the header"),
     (_spoil_csv_line(1, lambda line: line.replace("lambda", "lam")), ":1: expected the header"),
     (_spoil_csv_line(2, lambda line: line.replace(",", ",x", 1)), ":2: could not convert"),
-], ids=["short_row", "empty", "bad_header", "non_numeric"])
+    *(_spoil_csv_column(column, token) for column, token in UNWRITTEN_FIELDS),
+], ids=["short_row", "empty", "bad_header", "non_numeric",
+        *(f"{column}={token}" for column, token in UNWRITTEN_FIELDS)])
 def test_verify_names_a_broken_csv_line(small_run, tmp_path, capsys, spoil, where):
     cfg_path, out, _ = small_run
     copy = _copy_run(out, tmp_path / "copy")
@@ -586,6 +609,30 @@ def test_verify_names_a_broken_csv_line(small_run, tmp_path, capsys, spoil, wher
     csv_path.write_text("".join(line + "\n" for line in lines))
     assert run_command(["verify", "--config", cfg_path, "--out", str(copy)]) == 4
     assert f"config error: {csv_path}{where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["config.json", "branch_meta.json", "branch.csv",
+                                  "snapshots/point_00001.json", "field.json"])
+def test_an_input_that_is_not_utf8_names_its_path(small_run, tmp_path, capsys, name):
+    cfg_path, out, _ = small_run
+    copy = _copy_run(out, tmp_path / "copy")
+    shutil.copy(cfg_path, copy / "config.json")
+    (copy / "field.json").write_text(json.dumps(
+        {"u": json.loads((copy / "snapshots" / "point_00001.json").read_text())["u"]}))
+    path = copy / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    config = ["--config", str(copy / "config.json")]
+    if name == "config.json":
+        argv = ["bifpoint", *config]
+    elif name == "field.json":
+        argv = ["simulate", *config, "--out", str(tmp_path / "sim"), "--field", str(path),
+                "--lam", "1.0", "--steps", "2"]
+    else:
+        argv = ["verify", *config, "--out", str(copy)]
+    assert run_command(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: cannot read ")
+    assert "can't decode byte 0xff in position 0" in err
 
 
 @pytest.mark.parametrize("name,key", [

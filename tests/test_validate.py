@@ -1,4 +1,5 @@
 import copy
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,13 +14,7 @@ from agebranch import (
     make_spec,
     total_population,
 )
-from agebranch.cli import (
-    branch_records,
-    load_config,
-    read_branch_outputs,
-    spec_from_config,
-    write_branch_outputs,
-)
+from agebranch.cli import spec_from_config
 from agebranch.errors import PositivityError
 from agebranch.model import ModelSpec
 from agebranch.operators import (
@@ -28,8 +23,15 @@ from agebranch.operators import (
     evolve,
     next_generation_operator,
 )
+from agebranch.records import (
+    branch_records,
+    fmt17,
+    load_config,
+    read_branch_outputs,
+    write_branch_outputs,
+)
 from agebranch.spectral import bifurcation_point, check_simplicity, perron_eigenpair
-from agebranch.validate import fmt17, kernel_dimension, simulate_transient, verify_branch
+from agebranch.validate import kernel_dimension, simulate_transient, verify_branch
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -342,6 +344,15 @@ def test_verify_branch_names_each_spoiled_quantity(logistic_small, exported, fai
     if failing == "point 2 roundtrip":  # the detail names what differs, with both values
         assert {name: detail for name, _, detail in checks}[failing] == (
             f"lambda {snap['lambda']:.17g} vs CSV {row['lambda']:.17g}")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_a_row_value_that_is_not_finite_fails_the_roundtrip(logistic_small, exported, value):
+    spec, g = logistic_small
+    meta, rows, snapshots = copy.deepcopy(exported)
+    rows[2]["lambda"] = value
+    failed = [name for name, ok, _ in verify_branch(meta, rows, snapshots, spec, g) if not ok]
+    assert failed == ["point 2 roundtrip"]
 
 
 @pytest.mark.parametrize("column", ["lambda", "r_Q_u"])
